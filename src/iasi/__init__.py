@@ -23,8 +23,12 @@ from .graphs import (
     GraphViolation,
     IndexSummary,
     LabeledGraph,
+    complete_graph,
+    cycle_graph,
     find_graph_violations,
     induce_edge_labels,
+    path_graph,
+    star_graph,
     summarize_indices,
     validate_graph,
 )
@@ -72,14 +76,10 @@ from .io import (
 from .catalog import (
     CheckRecord,
     check_one_graph,
-    complete_graph,
-    cycle_graph,
     enumerate_connected_graphs,
-    path_graph,
     probe_k3_three_index,
     records_jsonl,
     run_catalog_checks,
-    star_graph,
     write_records_jsonl,
 )
 from .errors import (

@@ -31,8 +31,18 @@ from .classify import (
 )
 from .construct import ConstructionParams, construct_arbitrary, distinct_sum_sequence
 from .errors import GraphValidationError, LabelCollisionError
-from .graphs import Graph, LabeledGraph
-from .sets import APSet, detect_ap
+from .graphs import (
+    _LETTERS,
+    Graph,
+    LabeledGraph,
+    _bfs_components,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+    summarize_indices,
+)
+from .sets import APSet
 from .transforms import (
     contract_edge,
     reduce_topologically,
@@ -55,7 +65,6 @@ __all__ = [
     "run_catalog_checks",
 ]
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 MIN_CATALOG_N = 2
 MAX_CATALOG_N = 7
 
@@ -65,18 +74,7 @@ def _connected(n: int, edges) -> bool:
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        cur = stack.pop()
-        for nb in adj[cur]:
-            if not seen[nb]:
-                seen[nb] = True
-                count += 1
-                stack.append(nb)
-    return count == n
+    return len(next(_bfs_components(range(n), adj.__getitem__))) == n
 
 
 def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
@@ -95,35 +93,6 @@ def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
             if not _connected(n, chosen):
                 continue
             yield Graph(vertices, [(vertices[i], vertices[j]) for i, j in chosen])
-
-
-def path_graph(n: int) -> Graph:
-    if n < 2 or n > len(_LETTERS):
-        raise ValueError(f"path needs 2..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), [(v[i], v[i + 1]) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3 or n > len(_LETTERS):
-        raise ValueError(f"cycle needs 3..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), [(v[i], v[(i + 1) % n]) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    if n < 2 or n > len(_LETTERS):
-        raise ValueError(f"complete graph needs 2..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), list(combinations(v, 2)))
-
-
-def star_graph(n: int) -> Graph:
-    """K_{1,n-1}: vertex a joined to each of the other n-1."""
-    if n < 2 or n > len(_LETTERS):
-        raise ValueError(f"star needs 2..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), [(v[0], leaf) for leaf in v[1:]])
 
 
 @dataclass(frozen=True)
@@ -157,18 +126,6 @@ def records_jsonl(records) -> str:
 def write_records_jsonl(records, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(records_jsonl(records))
-
-
-def _collision_witness(exc: LabelCollisionError) -> dict:
-    c = exc.witness
-    return {
-        "collision": {
-            "kind": c.kind,
-            "first": c.first,
-            "second": c.second,
-            "label": list(c.label),
-        }
-    }
 
 
 def probe_k3_three_index(d: int = 1) -> CheckRecord:
@@ -231,7 +188,7 @@ def _transform_record(gid: str, check: str, fn) -> CheckRecord:
         out = fn()
     except LabelCollisionError as exc:
         return CheckRecord(
-            gid, check, "pass", _collision_witness(exc),
+            gid, check, "pass", {"collision": exc.witness.to_dict()},
             (time.perf_counter() - start) * 1000,
         )
     except GraphValidationError as exc:
@@ -244,9 +201,7 @@ def _transform_record(gid: str, check: str, fn) -> CheckRecord:
     elapsed = (time.perf_counter() - start) * 1000
     if report.is_iasi and report.arithmetic:
         return CheckRecord(gid, check, "pass", {"arithmetic": True}, elapsed)
-    non_ap_edges = sorted(
-        f"{u}-{v}" for (u, v), label in out.edge_labels.items() if detect_ap(label) is None
-    )
+    non_ap_edges = sorted(f"{u}-{v}" for u, v in summarize_indices(out).non_progression_edges())
     return CheckRecord(
         gid, check, "discrepancy",
         {
@@ -258,7 +213,7 @@ def _transform_record(gid: str, check: str, fn) -> CheckRecord:
     )
 
 
-def _timed(gid: str, check: str, ok: bool, witness: dict) -> CheckRecord:
+def _verdict(gid: str, check: str, ok: bool, witness: dict) -> CheckRecord:
     return CheckRecord(gid, check, "pass" if ok else "fail", witness)
 
 
@@ -286,21 +241,21 @@ def check_one_graph(graph: Graph, policy: str, seed: int, include_transforms: bo
     )
     report = classify_arithmetic(lg)
     records.append(
-        _timed(gid, f"verify/{policy}", report.is_iasi, {"is_iasi": report.is_iasi})
+        _verdict(gid, f"verify/{policy}", report.is_iasi, {"is_iasi": report.is_iasi})
     )
     records.append(
-        _timed(gid, f"arithmetic/{policy}", report.arithmetic, {"arithmetic": report.arithmetic})
+        _verdict(gid, f"arithmetic/{policy}", report.arithmetic, {"arithmetic": report.arithmetic})
     )
     multiplier = check_multiplier_condition(lg)
     records.append(
-        _timed(
+        _verdict(
             gid, f"multiplier/{policy}", multiplier.ok,
             {"violations": [str(v) for v in multiplier.violations]},
         )
     )
     gcd_report = check_gcd_invariant(lg)
     records.append(
-        _timed(
+        _verdict(
             gid, f"gcd/{policy}", gcd_report.ok,
             {
                 "vertex_gcd": gcd_report.vertex_gcd,

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraphError, NotArithmeticError
-from .graphs import LabeledGraph
-from .sets import detect_ap
+from .graphs import LabeledGraph, summarize_indices
 
 __all__ = [
     "Collision",
@@ -52,6 +51,14 @@ class Collision:
 
     def __str__(self):
         return f"{self.kind}s {self.first!r} and {self.second!r} share label {set(self.label)}"
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "first": self.first,
+            "second": self.second,
+            "label": list(self.label),
+        }
 
 
 @dataclass(frozen=True)
@@ -137,38 +144,48 @@ class ClassificationReport:
     sub_minimal_vertices: tuple
 
 
-def classify_arithmetic(lg: LabeledGraph, strict_semi: bool = False) -> ClassificationReport:
-    injectivity = verify_iasi(lg)
-    per_edge = classify_edges(lg)
-    uniform_k, vertex_uniform_l = check_uniformity(lg)
+def _sub_minimal(lg: LabeledGraph) -> tuple:
+    return tuple(
+        v for v in sorted(lg.vertex_labels) if len(lg.vertex_labels[v]) < MIN_ARITHMETIC_LENGTH
+    )
 
-    vertex_aps = {v: detect_ap(s) for v, s in lg.vertex_labels.items()}
-    sub_minimal = tuple(
-        v
-        for v in sorted(lg.vertex_labels)
-        if vertex_aps[v] is not None and len(lg.vertex_labels[v]) < MIN_ARITHMETIC_LENGTH
-    )
+
+def classify_arithmetic(lg: LabeledGraph, strict_semi: bool = False) -> ClassificationReport:
+    """The classification report, computed once per labeled graph and reading."""
+    strict_semi = bool(strict_semi)
+    key = ("classify", strict_semi)
+    if key not in lg._cache:
+        lg._cache[key] = _classify(lg, strict_semi)
+    return lg._cache[key]
+
+
+def _classify(lg: LabeledGraph, strict_semi: bool) -> ClassificationReport:
+    injectivity = verify_iasi(lg)
+    uniform_k, vertex_uniform_l = check_uniformity(lg)
+    summary = summarize_indices(lg)
+    sizes = summary.vertex_indexing_numbers
     vertex_arithmetic = all(
-        ap is not None and ap.length >= MIN_ARITHMETIC_LENGTH for ap in vertex_aps.values()
+        d is not None and sizes[v] >= MIN_ARITHMETIC_LENGTH
+        for v, d in summary.vertex_deterministic_indices.items()
     )
-    edge_ap_flags = [detect_ap(s) is not None for s in lg.edge_labels.values()]
-    edge_arithmetic = all(edge_ap_flags)
+    non_ap_edges = summary.non_progression_edges()
+    edge_arithmetic = not non_ap_edges
     if strict_semi:
-        semi = vertex_arithmetic and not any(edge_ap_flags)
+        semi = vertex_arithmetic and len(non_ap_edges) == len(lg.edge_labels)
     else:
         semi = vertex_arithmetic and not edge_arithmetic
 
     return ClassificationReport(
         is_iasi=injectivity.is_iasi,
         collision=injectivity.collision,
-        per_edge=per_edge,
+        per_edge=classify_edges(lg),
         uniform_k=uniform_k,
         vertex_uniform_l=vertex_uniform_l,
         vertex_arithmetic=vertex_arithmetic,
         edge_arithmetic=edge_arithmetic,
         arithmetic=vertex_arithmetic and edge_arithmetic,
         semi_arithmetic=semi,
-        sub_minimal_vertices=sub_minimal,
+        sub_minimal_vertices=_sub_minimal(lg),
     )
 
 
@@ -199,17 +216,19 @@ class MultiplierReport:
     sub_minimal_vertices: tuple
 
 
-def _vertex_differences(lg: LabeledGraph) -> dict:
-    diffs = {}
-    for v, label in sorted(lg.vertex_labels.items()):
-        ap = detect_ap(label)
-        if ap is None or ap.difference is None:
-            raise NotArithmeticError(
-                f"vertex {v!r} has no deterministic index: label {set(label)} is "
-                "not a progression of two or more elements"
-            )
-        diffs[v] = ap.difference
-    return diffs
+def _indices(names, indices: dict, labels: dict, kind: str) -> list:
+    """Deterministic indices of the named labels, in order.
+
+    Raises NotArithmeticError naming the first label without one.
+    """
+    out = [indices[x] for x in names]
+    if None in out:
+        x = names[out.index(None)]
+        raise NotArithmeticError(
+            f"{kind} {x!r} has no deterministic index: label {set(labels[x])} is "
+            "not a progression of two or more elements"
+        )
+    return out
 
 
 def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
@@ -221,7 +240,9 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
     difference the bound is the smaller endpoint cardinality (k = 1 always
     passes). Requires every vertex label to have a deterministic index.
     """
-    diffs = _vertex_differences(lg)
+    vertices = lg.graph.vertices
+    indices = summarize_indices(lg).vertex_deterministic_indices
+    diffs = dict(zip(vertices, _indices(vertices, indices, lg.vertex_labels, "vertex")))
     violations = []
     for u, v in lg.graph.edges:
         du, dv = diffs[u], diffs[v]
@@ -238,11 +259,8 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
         k = high // low
         if k > bound:
             violations.append(MultiplierViolation((u, v), low, high, k, bound))
-    sub_minimal = tuple(
-        v for v in sorted(lg.vertex_labels) if len(lg.vertex_labels[v]) < MIN_ARITHMETIC_LENGTH
-    )
     return MultiplierReport(
-        ok=not violations, violations=tuple(violations), sub_minimal_vertices=sub_minimal
+        ok=not violations, violations=tuple(violations), sub_minimal_vertices=_sub_minimal(lg)
     )
 
 
@@ -255,18 +273,11 @@ class GcdReport:
 
 
 def _gcd_report(lg: LabeledGraph, vertices, edges) -> GcdReport:
-    vertex_diffs = []
-    for v in vertices:
-        ap = detect_ap(lg.vertex_labels[v])
-        if ap is None or ap.difference is None:
-            raise NotArithmeticError(f"vertex {v!r} has no deterministic index")
-        vertex_diffs.append(ap.difference)
-    edge_diffs = []
-    for e in edges:
-        ap = detect_ap(lg.edge_labels[e])
-        if ap is None or ap.difference is None:
-            raise NotArithmeticError(f"edge {e} has no deterministic index")
-        edge_diffs.append(ap.difference)
+    summary = summarize_indices(lg)
+    vertex_diffs = _indices(
+        vertices, summary.vertex_deterministic_indices, lg.vertex_labels, "vertex"
+    )
+    edge_diffs = _indices(edges, summary.edge_deterministic_indices, lg.edge_labels, "edge")
     vg = math.gcd(*vertex_diffs)
     eg = math.gcd(*edge_diffs)
     mn = min(vertex_diffs)

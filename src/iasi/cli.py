@@ -34,17 +34,6 @@ def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _collision_dict(collision):
-    if collision is None:
-        return None
-    return {
-        "kind": collision.kind,
-        "first": collision.first,
-        "second": collision.second,
-        "label": list(collision.label),
-    }
-
-
 def _parse_sizes(text: str) -> tuple[int, int]:
     parts = text.split(",")
     try:
@@ -160,7 +149,7 @@ def _cmd_verify(args) -> int:
         {
             "command": "verify",
             "is_iasi": report.is_iasi,
-            "collision": _collision_dict(report.collision),
+            "collision": report.collision.to_dict() if report.collision else None,
         }
     )
     return EXIT_PASS if report.is_iasi else EXIT_FAIL
@@ -173,7 +162,7 @@ def _cmd_classify(args) -> int:
         {
             "command": "classify",
             "is_iasi": report.is_iasi,
-            "collision": _collision_dict(report.collision),
+            "collision": report.collision.to_dict() if report.collision else None,
             "uniform_k": report.uniform_k,
             "vertex_uniform_l": report.vertex_uniform_l,
             "vertex_arithmetic": report.vertex_arithmetic,
@@ -220,7 +209,7 @@ def _cmd_transform(args) -> int:
                 "command": "transform",
                 "op": args.op,
                 "error": "collision",
-                "collision": _collision_dict(exc.witness),
+                "collision": exc.witness.to_dict(),
             }
         )
         return EXIT_FAIL

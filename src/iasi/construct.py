@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .classify import verify_iasi
 from .errors import LabelCollisionError, SubgraphError
-from .graphs import Graph, LabeledGraph
+from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
 from .sets import APSet
 
 __all__ = [
@@ -115,28 +115,6 @@ class ConstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _traversal_order(graph: Graph) -> tuple[list, dict]:
-    """BFS order from the smallest vertex of each component; parents recorded."""
-    from collections import deque
-
-    order = []
-    seen = set()
-    for root in graph.vertices:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        order.append(root)
-        while queue:
-            cur = queue.popleft()
-            for nb in graph.neighbors(cur):
-                if nb not in seen:
-                    seen.add(nb)
-                    order.append(nb)
-                    queue.append(nb)
-    return order, {v: i for i, v in enumerate(order)}
-
-
 def _pick_multiplier(policy: str, rng: random.Random, bound: int) -> int:
     if policy == "fixed":
         return 1
@@ -160,7 +138,8 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     Explicit offsets are honored verbatim and can collide; a collision
     raises LabelCollisionError instead of returning a broken labeling.
     """
-    order, position = _traversal_order(graph)
+    # breadth-first from the smallest vertex of each component
+    order = [v for comp in _bfs_components(graph.vertices, graph.neighbors) for v in comp]
     rng = random.Random(params.seed)
 
     if params.label_sizes is not None:
@@ -232,9 +211,6 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     )
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
 def construct_complete(
     n: int, part_sizes: tuple[int, int], d: int, k: int, sizes=3
 ) -> LabeledGraph:
@@ -247,8 +223,7 @@ def construct_complete(
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need at least two vertices, got {n!r}")
-    if n > len(_LETTERS):
-        raise ValueError(f"at most {len(_LETTERS)} vertices supported, got {n}")
+    graph = complete_graph(n)
     r, l = part_sizes
     if r < 1 or l < 0 or r + l != n:
         raise ValueError(f"part sizes {part_sizes} do not split {n} with nonempty part one")
@@ -268,10 +243,7 @@ def construct_complete(
             f"multiplier k={k!r} outside [1, {part_one_min}] (smallest part-one label size)"
         )
 
-    vertices = list(_LETTERS[:n])
-    edges = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
-    graph = Graph(vertices, edges)
-
+    vertices = graph.vertices
     differences = {v: (d if i < r else k * d) for i, v in enumerate(vertices)}
     max_span = max((sizes[i] - 1) * differences[v] for i, v in enumerate(vertices))
     stride = 2 * max_span + 1

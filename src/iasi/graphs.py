@@ -9,8 +9,9 @@ lexicographic so output is deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator
 
 from .errors import GraphValidationError, InvalidLabelingError
 from .sets import IntegerSet, detect_ap, sumset
@@ -20,6 +21,10 @@ __all__ = [
     "find_graph_violations",
     "Graph",
     "validate_graph",
+    "path_graph",
+    "cycle_graph",
+    "complete_graph",
+    "star_graph",
     "LabeledGraph",
     "induce_edge_labels",
     "IndexSummary",
@@ -36,8 +41,31 @@ class GraphViolation:
         return f"{self.kind} at {self.element!r}"
 
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
 def _canonical_edge(u, v):
     return (u, v) if u <= v else (v, u)
+
+
+def _bfs_components(vertices, neighbors) -> Iterator[list]:
+    """Breadth-first visit order of each component, rooted at its first vertex.
+
+    ``neighbors(v)`` lists the vertices adjacent to ``v``; components come in
+    the order their roots appear in ``vertices``.
+    """
+    seen = set()
+    for root in vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        order = [root]
+        for cur in order:
+            for nb in neighbors(cur):
+                if nb not in seen:
+                    seen.add(nb)
+                    order.append(nb)
+        yield order
 
 
 def find_graph_violations(vertices, edges) -> list[GraphViolation]:
@@ -113,27 +141,11 @@ class Graph:
         return len(self._adjacency[v])
 
     def has_edge(self, u, v) -> bool:
-        return _canonical_edge(u, v) in set(self.edges)
+        return v in self._adjacency.get(u, ())
 
     def components(self) -> list[tuple]:
         """Connected components, each sorted, ordered by smallest vertex."""
-        unseen = set(self.vertices)
-        out = []
-        for root in self.vertices:
-            if root not in unseen:
-                continue
-            queue = deque([root])
-            unseen.discard(root)
-            comp = [root]
-            while queue:
-                cur = queue.popleft()
-                for nb in self._adjacency[cur]:
-                    if nb in unseen:
-                        unseen.discard(nb)
-                        comp.append(nb)
-                        queue.append(nb)
-            out.append(tuple(sorted(comp)))
-        return out
+        return [tuple(sorted(c)) for c in _bfs_components(self.vertices, self.neighbors)]
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
@@ -159,15 +171,46 @@ def validate_graph(vertices, edges) -> Graph:
     return Graph(vertices, edges)
 
 
+def path_graph(n: int) -> Graph:
+    if n < 2 or n > len(_LETTERS):
+        raise ValueError(f"path needs 2..{len(_LETTERS)} vertices, got {n}")
+    v = _LETTERS[:n]
+    return Graph(list(v), [(v[i], v[i + 1]) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3 or n > len(_LETTERS):
+        raise ValueError(f"cycle needs 3..{len(_LETTERS)} vertices, got {n}")
+    v = _LETTERS[:n]
+    return Graph(list(v), [(v[i], v[(i + 1) % n]) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    if n < 2 or n > len(_LETTERS):
+        raise ValueError(f"complete graph needs 2..{len(_LETTERS)} vertices, got {n}")
+    v = _LETTERS[:n]
+    return Graph(list(v), list(combinations(v, 2)))
+
+
+def star_graph(n: int) -> Graph:
+    """K_{1,n-1}: vertex a joined to each of the other n-1."""
+    if n < 2 or n > len(_LETTERS):
+        raise ValueError(f"star needs 2..{len(_LETTERS)} vertices, got {n}")
+    v = _LETTERS[:n]
+    return Graph(list(v), [(v[0], leaf) for leaf in v[1:]])
+
+
 class LabeledGraph:
     """A graph together with a total set-valued vertex labeling.
 
     Edge labels are always the induced sumsets of the endpoint labels and
     are computed here once; there is no way to store anything else. The
     labeling need not be injective -- deciding that is the verifier's job.
+    Facts derived from the labels (the index summary, classification
+    reports) are computed on first use and kept in ``_cache``.
     """
 
-    __slots__ = ("graph", "vertex_labels", "edge_labels")
+    __slots__ = ("graph", "vertex_labels", "edge_labels", "_cache")
 
     def __init__(self, graph: Graph, vertex_labels):
         missing = [v for v in graph.vertices if v not in vertex_labels]
@@ -184,6 +227,7 @@ class LabeledGraph:
         self.edge_labels = {
             (u, v): sumset(labels[u], labels[v]) for u, v in graph.edges
         }
+        self._cache = {}
 
     def label(self, v) -> IntegerSet:
         return self.vertex_labels[v]
@@ -229,22 +273,30 @@ class IndexSummary:
     vertex_deterministic_indices: dict
     edge_deterministic_indices: dict
 
+    def non_progression_edges(self) -> list:
+        """Edges whose label is not a progression, in canonical order.
 
-def _deterministic_index(label: IntegerSet):
-    ap = detect_ap(label)
-    if ap is None:
-        return None
-    return ap.difference  # None for singletons
+        Singletons carry no deterministic index but are progressions.
+        """
+        return [
+            e
+            for e, d in self.edge_deterministic_indices.items()
+            if d is None and self.edge_indexing_numbers[e] > 1
+        ]
 
 
 def summarize_indices(lg: LabeledGraph) -> IndexSummary:
-    return IndexSummary(
-        vertex_indexing_numbers={v: len(s) for v, s in lg.vertex_labels.items()},
-        edge_indexing_numbers={e: len(s) for e, s in lg.edge_labels.items()},
-        vertex_deterministic_indices={
-            v: _deterministic_index(s) for v, s in lg.vertex_labels.items()
-        },
-        edge_deterministic_indices={
-            e: _deterministic_index(s) for e, s in lg.edge_labels.items()
-        },
-    )
+    """The labeling's index summary; progressions are detected once per labeled graph."""
+    summary = lg._cache.get("indices")
+    if summary is None:
+        summary = lg._cache["indices"] = IndexSummary(
+            vertex_indexing_numbers={v: len(s) for v, s in lg.vertex_labels.items()},
+            edge_indexing_numbers={e: len(s) for e, s in lg.edge_labels.items()},
+            vertex_deterministic_indices={
+                v: getattr(detect_ap(s), "difference", None) for v, s in lg.vertex_labels.items()
+            },
+            edge_deterministic_indices={
+                e: getattr(detect_ap(s), "difference", None) for e, s in lg.edge_labels.items()
+            },
+        )
+    return summary

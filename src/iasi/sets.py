@@ -37,12 +37,16 @@ class IntegerSet(tuple):
     """An immutable, sorted, duplicate-free tuple of non-negative integers.
 
     The empty set is representable (it is rejected by the operations that
-    need nonempty operands, not by the type).
+    need nonempty operands, not by the type). The constructor is the one
+    place elements are checked: an IntegerSet argument is returned as is,
+    and the package's own operations build their results unchecked.
     """
 
     __slots__ = ()
 
     def __new__(cls, elements=()):
+        if type(elements) is cls:
+            return elements
         seen = set()
         for e in elements:
             if isinstance(e, bool) or not isinstance(e, int):
@@ -61,6 +65,11 @@ class IntegerSet(tuple):
 
     def __repr__(self):
         return "IntegerSet({%s})" % ", ".join(str(e) for e in self)
+
+
+def _unchecked(elements) -> IntegerSet:
+    """An IntegerSet of integers already known to be in range."""
+    return tuple.__new__(IntegerSet, sorted(set(elements)))
 
 
 @dataclass(frozen=True)
@@ -84,20 +93,30 @@ class APSet:
         if self.length == 1:
             if self.difference is not None:
                 raise ValueError("a singleton progression has no common difference")
-        else:
-            if not isinstance(self.difference, int) or self.difference < 1:
-                raise ValueError(
-                    f"common difference must be a positive integer, got {self.difference!r}"
-                )
-            if self.first + (self.length - 1) * self.difference > U64_MAX:
-                raise LabelOverflowError("progression exceeds the 64-bit range")
+        elif not isinstance(self.difference, int) or self.difference < 1:
+            raise ValueError(
+                f"common difference must be a positive integer, got {self.difference!r}"
+            )
+        if self.first + (self.length - 1) * (self.difference or 0) > U64_MAX:
+            raise LabelOverflowError("progression exceeds the 64-bit range")
 
     def expand(self) -> IntegerSet:
         """The progression as an IntegerSet."""
-        if self.length == 1:
-            return IntegerSet((self.first,))
-        d = self.difference
-        return IntegerSet(self.first + i * d for i in range(self.length))
+        d = self.difference or 1
+        return _unchecked(range(self.first, self.first + self.length * d, d))
+
+
+def _operands(a, b, what: str) -> tuple[IntegerSet, IntegerSet]:
+    """Check two nonempty operands whose largest sum stays in the 64-bit range."""
+    a = IntegerSet(a)
+    b = IntegerSet(b)
+    if not a or not b:
+        raise ValueError(f"{what} requires nonempty operands")
+    if a[-1] + b[-1] > U64_MAX:
+        raise LabelOverflowError(
+            f"maximum sum {a[-1]} + {b[-1]} exceeds the 64-bit range"
+        )
+    return a, b
 
 
 def sumset(a, b) -> IntegerSet:
@@ -105,15 +124,8 @@ def sumset(a, b) -> IntegerSet:
 
     |A+B| is at least max(|A|, |B|) and at most |A|*|B|.
     """
-    a = IntegerSet(a)
-    b = IntegerSet(b)
-    if not a or not b:
-        raise ValueError("sumset requires nonempty operands")
-    if a[-1] + b[-1] > U64_MAX:
-        raise LabelOverflowError(
-            f"maximum sum {a[-1]} + {b[-1]} exceeds the 64-bit range"
-        )
-    return IntegerSet(x + y for x in a for y in b)
+    a, b = _operands(a, b, "sumset")
+    return _unchecked(x + y for x in a for y in b)
 
 
 def detect_ap(s) -> APSet | None:
@@ -170,14 +182,7 @@ class CompatibilityTable:
 
 def compatibility_table(a, b) -> CompatibilityTable:
     """Group A x B by equal sums, smallest sum first."""
-    a = IntegerSet(a)
-    b = IntegerSet(b)
-    if not a or not b:
-        raise ValueError("compatibility table requires nonempty operands")
-    if a[-1] + b[-1] > U64_MAX:
-        raise LabelOverflowError(
-            f"maximum sum {a[-1]} + {b[-1]} exceeds the 64-bit range"
-        )
+    a, b = _operands(a, b, "compatibility table")
     groups = defaultdict(list)
     for x in a:
         for y in b:

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .classify import classify_arithmetic, verify_iasi
 from .errors import LabelCollisionError, NotArithmeticError
-from .graphs import Graph, LabeledGraph
+from .graphs import Graph, LabeledGraph, _canonical_edge
 
 __all__ = [
     "contract_edge",
@@ -27,10 +27,6 @@ __all__ = [
     "to_line_graph",
     "to_total_graph",
 ]
-
-
-def _canonical(u, v):
-    return (u, v) if u <= v else (v, u)
 
 
 def _require_arithmetic(lg: LabeledGraph, op: str):
@@ -55,8 +51,24 @@ def _verified(lg: LabeledGraph) -> LabeledGraph:
     return lg
 
 
+def _edge_points(lg: LabeledGraph, taken) -> tuple[dict, list]:
+    """Name a new point "(u,v)" per edge, avoiding ``taken``; join the points
+    of edges that share an endpoint."""
+    names = {}
+    taken = set(taken)
+    for u, v in lg.graph.edges:
+        names[(u, v)] = name = _fresh_name(f"({u},{v})", taken)
+        taken.add(name)
+    adjacent = [
+        _canonical_edge(names[e1], names[e2])
+        for e1, e2 in combinations(lg.graph.edges, 2)
+        if set(e1) & set(e2)
+    ]
+    return names, adjacent
+
+
 def _require_edge(lg: LabeledGraph, edge) -> tuple:
-    e = _canonical(*edge)
+    e = _canonical_edge(*edge)
     if e not in lg.edge_labels:
         raise ValueError(f"no such edge: {e}")
     return e
@@ -80,7 +92,7 @@ def contract_edge(lg: LabeledGraph, edge) -> LabeledGraph:
             continue
         x2 = merged if x in (u, v) else x
         y2 = merged if y in (u, v) else y
-        new_edges.add(_canonical(x2, y2))
+        new_edges.add(_canonical_edge(x2, y2))
 
     labels = {x: lg.vertex_labels[x] for x in lg.graph.vertices if x not in (u, v)}
     labels[merged] = lg.edge_labels[(u, v)]
@@ -105,7 +117,7 @@ def reduce_topologically(lg: LabeledGraph, vertex: str) -> LabeledGraph:
         raise ValueError(f"neighbors {u!r} and {w!r} are adjacent; reduction undefined")
 
     vertices = [x for x in lg.graph.vertices if x != vertex]
-    edges = [e for e in lg.graph.edges if vertex not in e] + [_canonical(u, w)]
+    edges = [e for e in lg.graph.edges if vertex not in e] + [_canonical_edge(u, w)]
     labels = {x: lg.vertex_labels[x] for x in vertices}
     return _verified(LabeledGraph(Graph(vertices, edges), labels))
 
@@ -118,7 +130,7 @@ def subdivide(lg: LabeledGraph, edge) -> LabeledGraph:
 
     vertices = list(lg.graph.vertices) + [mid]
     edges = [e for e in lg.graph.edges if e != (u, v)]
-    edges += [_canonical(u, mid), _canonical(mid, v)]
+    edges += [_canonical_edge(u, mid), _canonical_edge(mid, v)]
     labels = dict(lg.vertex_labels)
     labels[mid] = lg.edge_labels[(u, v)]
     return _verified(LabeledGraph(Graph(vertices, edges), labels))
@@ -135,18 +147,7 @@ def to_line_graph(lg: LabeledGraph) -> LabeledGraph:
     if len(lg.graph.edges) < 2:
         raise ValueError("line graph needs at least two edges")
 
-    names = {}
-    taken = set()
-    for u, v in lg.graph.edges:
-        name = _fresh_name(f"({u},{v})", taken)
-        names[(u, v)] = name
-        taken.add(name)
-
-    edges = [
-        _canonical(names[e1], names[e2])
-        for e1, e2 in combinations(lg.graph.edges, 2)
-        if set(e1) & set(e2)
-    ]
+    names, edges = _edge_points(lg, ())
     labels = {names[e]: lg.edge_labels[e] for e in lg.graph.edges}
     return _verified(LabeledGraph(Graph(list(names.values()), edges), labels))
 
@@ -159,22 +160,11 @@ def to_total_graph(lg: LabeledGraph) -> LabeledGraph:
     becomes a collision here even though the original labeling was fine.
     """
     _require_arithmetic(lg, "to_total_graph")
-    names = {}
-    taken = set(lg.graph.vertices)
+    names, adjacent = _edge_points(lg, lg.graph.vertices)
+    edges = list(lg.graph.edges) + adjacent
     for u, v in lg.graph.edges:
-        name = _fresh_name(f"({u},{v})", taken)
-        names[(u, v)] = name
-        taken.add(name)
-
-    edges = list(lg.graph.edges)
-    edges += [
-        _canonical(names[e1], names[e2])
-        for e1, e2 in combinations(lg.graph.edges, 2)
-        if set(e1) & set(e2)
-    ]
-    for u, v in lg.graph.edges:
-        edges.append(_canonical(u, names[(u, v)]))
-        edges.append(_canonical(v, names[(u, v)]))
+        edges.append(_canonical_edge(u, names[(u, v)]))
+        edges.append(_canonical_edge(v, names[(u, v)]))
 
     labels = dict(lg.vertex_labels)
     for e, name in names.items():

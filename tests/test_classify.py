@@ -1,10 +1,12 @@
 """Verifier and classifier behavior, including the documented edge cases."""
 
+import sys
 from itertools import combinations
 
 import pytest
 
 from iasi import (
+    ConstructionParams,
     DisconnectedGraphError,
     Graph,
     LabeledGraph,
@@ -16,7 +18,10 @@ from iasi import (
     check_uniformity,
     classify_arithmetic,
     classify_edges,
+    construct_arbitrary,
+    cycle_graph,
     detect_ap,
+    subdivide,
     sumset,
     verify_iasi,
 )
@@ -266,3 +271,40 @@ def test_gcd_requires_connected():
 def test_gcd_requires_deterministic_indices():
     with pytest.raises(NotArithmeticError):
         check_gcd_invariant(p2({0, 1, 3}, {0, 2, 4}))
+
+
+# ------------------------------------------------------- cached label facts
+
+
+def test_label_facts_computed_once_per_labeled_graph(monkeypatch):
+    calls = []
+    real = detect_ap
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "iasi" and getattr(module, "detect_ap", None) is real:
+            monkeypatch.setattr(module, "detect_ap", counting)
+
+    lg = construct_arbitrary(
+        cycle_graph(5), ConstructionParams(multiplier_policy="maximal", seed=3)
+    ).labeled_graph
+    assert classify_arithmetic(lg).arithmetic
+    assert check_multiplier_condition(lg).ok
+    assert check_gcd_invariant(lg).ok
+    subdivide(lg, lg.graph.edges[0])
+    assert len(calls) <= len(lg.vertex_labels) + len(lg.edge_labels)
+
+
+def test_cached_reports_match_fresh_graph_for_both_readings():
+    # u-v is a progression (k = 2 <= 3), v-w is not (k = 4 > 3)
+    lg = p3({0, 1, 2}, {10, 12, 14}, {20, 28, 36})
+    strict = classify_arithmetic(lg, strict_semi=True)
+    loose = classify_arithmetic(lg)
+    assert loose.semi_arithmetic and not strict.semi_arithmetic
+    fresh = LabeledGraph(lg.graph, lg.vertex_labels)
+    assert classify_arithmetic(fresh) == loose
+    fresh = LabeledGraph(lg.graph, lg.vertex_labels)
+    assert classify_arithmetic(fresh, strict_semi=True) == strict

@@ -61,6 +61,13 @@ def test_validate_graph_canonicalizes():
     assert g.degree("a") == 2 and g.degree("b") == 1
 
 
+def test_has_edge_either_orientation_and_unknown_vertex():
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert g.has_edge("a", "b") and g.has_edge("b", "a")
+    assert not g.has_edge("a", "c") and not g.has_edge("c", "a")
+    assert not g.has_edge("a", "z") and not g.has_edge("z", "a")
+
+
 def test_components_and_connectivity():
     g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     assert g.components() == [("a", "b"), ("c", "d")]

@@ -52,6 +52,11 @@ def test_integer_set_rejects_bad_elements():
         IntegerSet([U64_MAX + 1])
 
 
+def test_integer_set_returns_checked_argument_unchanged():
+    s = IntegerSet([3, 1])
+    assert IntegerSet(s) is s
+
+
 def test_integer_set_is_hashable_value():
     assert IntegerSet([1, 2]) == IntegerSet((2, 1))
     assert hash(IntegerSet([1, 2])) == hash(IntegerSet([2, 1]))
@@ -172,6 +177,29 @@ def test_apset_validation():
         APSet(first=-1, difference=1, length=2)
     with pytest.raises(LabelOverflowError):
         APSet(first=U64_MAX, difference=1, length=2)
+
+
+def test_apset_singleton_overflow_rejected():
+    with pytest.raises(LabelOverflowError):
+        APSet(first=U64_MAX + 1, difference=None, length=1)
+
+
+progression_sets = st.builds(
+    lambda first, d, length: set(range(first, first + d * length, d)),
+    st.integers(0, 60), st.integers(1, 9), st.integers(1, 8),
+)
+
+
+@given(st.one_of(small_sets, progression_sets))
+def test_detect_ap_matches_brute_force(s):
+    s = sorted(s)
+    ap = detect_ap(s)
+    if len(s) == 1:
+        assert ap == APSet(s[0], None, 1)
+    elif set(range(s[0], s[-1] + 1, s[1] - s[0])) == set(s):
+        assert ap == APSet(s[0], s[1] - s[0], len(s))
+    else:
+        assert ap is None
 
 
 @given(

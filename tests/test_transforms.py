@@ -74,11 +74,29 @@ def test_contract_unknown_edge():
         contract_edge(p3_example(), ("u", "w"))
 
 
-def test_contract_requires_arithmetic_input():
+P3_TRANSFORMS = {
+    "contract": lambda lg: contract_edge(lg, ("u", "v")),
+    "subdivide": lambda lg: subdivide(lg, ("u", "v")),
+    "reduce": lambda lg: reduce_topologically(lg, "v"),
+    "line": to_line_graph,
+    "total": to_total_graph,
+}
+
+
+@pytest.mark.parametrize(
+    "labels, reason",
+    [
+        ({"u": {0, 1, 3}, "v": {10, 11, 12}, "w": {20, 22, 24}}, "an arithmetic labeling"),
+        ({"u": {0, 1, 2}, "v": {10, 11, 12}, "w": {0, 1, 2}}, "an injective labeling"),
+    ],
+    ids=["non-arithmetic", "non-injective"],
+)
+@pytest.mark.parametrize("op", list(P3_TRANSFORMS))
+def test_transforms_require_arithmetic_input(op, labels, reason):
     g = Graph(["u", "v", "w"], [("u", "v"), ("v", "w")])
-    lg = LabeledGraph(g, {"u": {0, 1, 3}, "v": {10, 11, 12}, "w": {20, 22, 24}})
-    with pytest.raises(NotArithmeticError):
-        contract_edge(lg, ("u", "v"))
+    lg = LabeledGraph(g, labels)
+    with pytest.raises(NotArithmeticError, match=f"requires {reason}"):
+        P3_TRANSFORMS[op](lg)
 
 
 # ------------------------------------------------------------------- reduce
