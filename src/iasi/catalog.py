@@ -29,7 +29,7 @@ from .classify import (
     check_multiplier_condition,
     classify_arithmetic,
 )
-from .construct import ConstructionParams, construct_arbitrary, distinct_sum_sequence
+from .construct import ConstructionParams, _progression_labels, construct_arbitrary
 from .errors import GraphValidationError, LabelCollisionError
 from .graphs import (
     _LETTERS,
@@ -42,7 +42,6 @@ from .graphs import (
     star_graph,
     summarize_indices,
 )
-from .sets import APSet
 from .transforms import (
     contract_edge,
     reduce_topologically,
@@ -139,12 +138,7 @@ def probe_k3_three_index(d: int = 1) -> CheckRecord:
     """
     graph = complete_graph(3)
     differences = {"a": d, "b": 2 * d, "c": 4 * d}
-    stride = 2 * (3 * 4 * d) + 1
-    firsts = distinct_sum_sequence(3)
-    labels = {
-        v: APSet(firsts[i] * stride, differences[v], 4).expand()
-        for i, v in enumerate(graph.vertices)
-    }
+    _, labels = _progression_labels(graph.vertices, differences, dict.fromkeys(graph.vertices, 4))
     start = time.perf_counter()
     report = classify_arithmetic(LabeledGraph(graph, labels))
     elapsed = (time.perf_counter() - start) * 1000

@@ -79,8 +79,13 @@ def _first_collision(items, kind):
 def verify_iasi(lg: LabeledGraph) -> InjectivityReport:
     """Decide IASI-ness: vertex labels injective and edge labels injective.
 
-    The first collision in canonical order is returned as the witness.
+    The first collision in canonical order is returned as the witness. The
+    labels are scanned once per labeled graph; later calls read the report.
     """
+    return lg._fact("injectivity", _verify)
+
+
+def _verify(lg: LabeledGraph) -> InjectivityReport:
     collision = _first_collision(sorted(lg.vertex_labels.items()), "vertex")
     if collision is None:
         collision = _first_collision(sorted(lg.edge_labels.items()), "edge")
@@ -153,10 +158,7 @@ def _sub_minimal(lg: LabeledGraph) -> tuple:
 def classify_arithmetic(lg: LabeledGraph, strict_semi: bool = False) -> ClassificationReport:
     """The classification report, computed once per labeled graph and reading."""
     strict_semi = bool(strict_semi)
-    key = ("classify", strict_semi)
-    if key not in lg._cache:
-        lg._cache[key] = _classify(lg, strict_semi)
-    return lg._cache[key]
+    return lg._fact(("classify", strict_semi), lambda g: _classify(g, strict_semi))
 
 
 def _classify(lg: LabeledGraph, strict_semi: bool) -> ClassificationReport:

@@ -15,7 +15,7 @@ from . import __version__
 from .catalog import run_catalog_checks, write_records_jsonl
 from .classify import classify_arithmetic, verify_iasi
 from .construct import ConstructionParams, construct_arbitrary
-from .errors import IasiError, LabelCollisionError, NotArithmeticError
+from .errors import IasiError, LabelCollisionError
 from .io import export_dot, load_document, load_graph, save_document
 from .transforms import (
     contract_edge,
@@ -213,9 +213,6 @@ def _cmd_transform(args) -> int:
             }
         )
         return EXIT_FAIL
-    except (NotArithmeticError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     save_document(out, args.output, {"tool_version": __version__, "transform": args.op})
     _emit({"command": "transform", "op": args.op, "output": args.output})
     return EXIT_PASS
@@ -256,13 +253,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IasiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (FileNotFoundError, IasiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -115,6 +115,22 @@ class ConstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _progression_labels(order, differences: dict, sizes: dict, offsets=None):
+    """Vertex v's label: ``sizes[v]`` terms with difference ``differences[v]``
+    from ``offsets[v]``; returns (offsets, labels).
+
+    Without explicit offsets, the i-th vertex of ``order`` starts at the i-th
+    distinct-sum term times a stride wider than twice the largest label span,
+    which keeps every vertex label and every edge label distinct. This is
+    the one automatic layout every constructor uses.
+    """
+    if offsets is None:
+        stride = 2 * max((sizes[v] - 1) * differences[v] for v in order) + 1
+        offsets = {v: f * stride for v, f in zip(order, distinct_sum_sequence(len(order)))}
+    labels = {v: APSet(offsets[v], differences[v], sizes[v]).expand() for v in order}
+    return offsets, labels
+
+
 def _pick_multiplier(policy: str, rng: random.Random, bound: int) -> int:
     if policy == "fixed":
         return 1
@@ -178,21 +194,14 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     if fallback_vertex is not None:
         differences = {v: params.base_difference for v in order}
 
+    offsets = None
     if params.start_offsets is not None:
         if len(params.start_offsets) != len(order):
             raise ValueError(
                 f"expected {len(order)} offsets, got {len(params.start_offsets)}"
             )
-        offsets = {v: params.start_offsets[i] for i, v in enumerate(order)}
-    else:
-        max_span = max((sizes[v] - 1) * differences[v] for v in order)
-        stride = 2 * max_span + 1
-        firsts = distinct_sum_sequence(len(order))
-        offsets = {v: firsts[i] * stride for i, v in enumerate(order)}
-
-    labels = {
-        v: APSet(offsets[v], differences[v], sizes[v]).expand() for v in order
-    }
+        offsets = dict(zip(order, params.start_offsets))
+    offsets, labels = _progression_labels(order, differences, sizes, offsets)
     lg = LabeledGraph(graph, labels)
 
     if params.start_offsets is not None:
@@ -245,13 +254,7 @@ def construct_complete(
 
     vertices = graph.vertices
     differences = {v: (d if i < r else k * d) for i, v in enumerate(vertices)}
-    max_span = max((sizes[i] - 1) * differences[v] for i, v in enumerate(vertices))
-    stride = 2 * max_span + 1
-    firsts = distinct_sum_sequence(n)
-    labels = {
-        v: APSet(firsts[i] * stride, differences[v], sizes[i]).expand()
-        for i, v in enumerate(vertices)
-    }
+    _, labels = _progression_labels(vertices, differences, dict(zip(vertices, sizes)))
     return LabeledGraph(graph, labels)
 
 

@@ -123,6 +123,7 @@ class Graph:
     __slots__ = ("vertices", "edges", "_adjacency")
 
     def __init__(self, vertices, edges):
+        vertices, edges = list(vertices), list(edges)
         violations = find_graph_violations(vertices, edges)
         if violations:
             raise GraphValidationError(violations)
@@ -206,8 +207,9 @@ class LabeledGraph:
     Edge labels are always the induced sumsets of the endpoint labels and
     are computed here once; there is no way to store anything else. The
     labeling need not be injective -- deciding that is the verifier's job.
-    Facts derived from the labels (the index summary, classification
-    reports) are computed on first use and kept in ``_cache``.
+    Facts derived from the labels (the injectivity report, the index
+    summary, classification reports) are computed on first use by ``_fact``
+    and kept in ``_cache``.
     """
 
     __slots__ = ("graph", "vertex_labels", "edge_labels", "_cache")
@@ -228,6 +230,12 @@ class LabeledGraph:
             (u, v): sumset(labels[u], labels[v]) for u, v in graph.edges
         }
         self._cache = {}
+
+    def _fact(self, key, compute):
+        """``compute(self)``, run on first use and cached under ``key``."""
+        if key not in self._cache:
+            self._cache[key] = compute(self)
+        return self._cache[key]
 
     def label(self, v) -> IntegerSet:
         return self.vertex_labels[v]
@@ -287,16 +295,17 @@ class IndexSummary:
 
 def summarize_indices(lg: LabeledGraph) -> IndexSummary:
     """The labeling's index summary; progressions are detected once per labeled graph."""
-    summary = lg._cache.get("indices")
-    if summary is None:
-        summary = lg._cache["indices"] = IndexSummary(
-            vertex_indexing_numbers={v: len(s) for v, s in lg.vertex_labels.items()},
-            edge_indexing_numbers={e: len(s) for e, s in lg.edge_labels.items()},
-            vertex_deterministic_indices={
-                v: getattr(detect_ap(s), "difference", None) for v, s in lg.vertex_labels.items()
-            },
-            edge_deterministic_indices={
-                e: getattr(detect_ap(s), "difference", None) for e, s in lg.edge_labels.items()
-            },
-        )
-    return summary
+    return lg._fact("indices", _summarize)
+
+
+def _summarize(lg: LabeledGraph) -> IndexSummary:
+    return IndexSummary(
+        vertex_indexing_numbers={v: len(s) for v, s in lg.vertex_labels.items()},
+        edge_indexing_numbers={e: len(s) for e, s in lg.edge_labels.items()},
+        vertex_deterministic_indices={
+            v: getattr(detect_ap(s), "difference", None) for v, s in lg.vertex_labels.items()
+        },
+        edge_deterministic_indices={
+            e: getattr(detect_ap(s), "difference", None) for e, s in lg.edge_labels.items()
+        },
+    )

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import iasi.classify as classify_module
 from iasi import (
     ConstructionParams,
     DisconnectedGraphError,
@@ -288,14 +289,32 @@ def test_label_facts_computed_once_per_labeled_graph(monkeypatch):
         if name.split(".")[0] == "iasi" and getattr(module, "detect_ap", None) is real:
             monkeypatch.setattr(module, "detect_ap", counting)
 
+    # one collision scan per verify_iasi computation: it starts with the vertex labels
+    scans = []
+    real_scan = classify_module._first_collision
+
+    def counting_scan(items, kind):
+        if kind == "vertex":
+            scans.append(kind)
+        return real_scan(items, kind)
+
+    monkeypatch.setattr(classify_module, "_first_collision", counting_scan)
+
     lg = construct_arbitrary(
         cycle_graph(5), ConstructionParams(multiplier_policy="maximal", seed=3)
     ).labeled_graph
     assert classify_arithmetic(lg).arithmetic
     assert check_multiplier_condition(lg).ok
     assert check_gcd_invariant(lg).ok
-    subdivide(lg, lg.graph.edges[0])
+    assert verify_iasi(lg).is_iasi
+    assert len(scans) == 1
+    out = subdivide(lg, lg.graph.edges[0])
     assert len(calls) <= len(lg.vertex_labels) + len(lg.edge_labels)
+    # the transform verified its output; classifying it reads that report
+    assert len(scans) == 2
+    assert classify_arithmetic(out).is_iasi
+    assert verify_iasi(out).is_iasi
+    assert len(scans) == 2
 
 
 def test_cached_reports_match_fresh_graph_for_both_readings():

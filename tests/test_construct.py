@@ -214,6 +214,11 @@ def test_complete_frozen_example():
     assert_arithmetic(lg)
     diffs = {v: detect_ap(s).difference for v, s in lg.vertex_labels.items()}
     assert diffs == {"a": 3, "b": 3, "c": 6, "d": 6}
+    # first terms 1, 2, 3, 5 times the stride 2 * (2 * 6) + 1 = 25
+    labels = {v: list(s) for v, s in lg.vertex_labels.items()}
+    assert labels == {
+        "a": [25, 28, 31], "b": [50, 53, 56], "c": [75, 81, 87], "d": [125, 131, 137]
+    }
 
 
 def test_complete_multiplier_bound():

@@ -53,6 +53,17 @@ def test_graph_constructor_raises_with_violations():
     assert "isolated-vertex" in kinds(exc.value.violations)
 
 
+@pytest.mark.parametrize("one_shot", ["vertices", "edges"])
+def test_graph_accepts_one_shot_iterables(one_shot):
+    vertices, edges = ["a", "b", "c"], [("a", "b"), ("b", "c")]
+    g = Graph(
+        iter(vertices) if one_shot == "vertices" else vertices,
+        iter(edges) if one_shot == "edges" else edges,
+    )
+    assert g == Graph(vertices, edges)
+    assert g.neighbors("b") == ("a", "c")
+
+
 def test_validate_graph_canonicalizes():
     g = validate_graph(["b", "a", "c"], [("c", "a"), ("b", "a")])
     assert g.vertices == ("a", "b", "c")
