@@ -28,6 +28,7 @@ from .classify import (
     check_gcd_invariant,
     check_multiplier_condition,
     classify_arithmetic,
+    verify_iasi,
 )
 from .construct import ConstructionParams, _progression_labels, construct_arbitrary
 from .errors import GraphValidationError, LabelCollisionError
@@ -43,6 +44,7 @@ from .graphs import (
     summarize_indices,
 )
 from .transforms import (
+    _reduction_problem,
     contract_edge,
     reduce_topologically,
     subdivide,
@@ -58,6 +60,7 @@ __all__ = [
     "complete_graph",
     "star_graph",
     "CheckRecord",
+    "check_one_graph",
     "records_jsonl",
     "write_records_jsonl",
     "probe_k3_three_index",
@@ -127,6 +130,34 @@ def write_records_jsonl(records, path):
         fh.write(records_jsonl(records))
 
 
+def _timed(gid: str, check: str, outcome_fn, *args) -> CheckRecord:
+    """Run one check's ``outcome_fn(*args) -> (outcome, witness)`` and time it.
+
+    Every catalog record is built here, so every record is timed the same way.
+    """
+    start = time.perf_counter()
+    outcome, witness = outcome_fn(*args)
+    return CheckRecord(gid, check, outcome, witness, (time.perf_counter() - start) * 1000)
+
+
+def _pass_or_fail(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _k3_three_index(graph: Graph, d: int):
+    differences = {"a": d, "b": 2 * d, "c": 4 * d}
+    _, labels = _progression_labels(graph.vertices, differences, dict.fromkeys(graph.vertices, 4))
+    report = classify_arithmetic(LabeledGraph(graph, labels))
+    distinct = sorted(set(differences.values()))
+    if report.is_iasi and report.arithmetic and len(distinct) == 3:
+        return "discrepancy", {
+            "differences": distinct,
+            "arithmetic": True,
+            "note": "three distinct differences on K3 verified arithmetic",
+        }
+    return "pass", {"arithmetic": report.arithmetic, "is_iasi": report.is_iasi}
+
+
 def probe_k3_three_index(d: int = 1) -> CheckRecord:
     """Label K3 with differences d, 2d, 4d (sizes 4) and see what the verifier says.
 
@@ -137,171 +168,93 @@ def probe_k3_three_index(d: int = 1) -> CheckRecord:
     discrepancy, not a failure.
     """
     graph = complete_graph(3)
-    differences = {"a": d, "b": 2 * d, "c": 4 * d}
-    _, labels = _progression_labels(graph.vertices, differences, dict.fromkeys(graph.vertices, 4))
-    start = time.perf_counter()
-    report = classify_arithmetic(LabeledGraph(graph, labels))
-    elapsed = (time.perf_counter() - start) * 1000
-    distinct = sorted(set(differences.values()))
-    if report.is_iasi and report.arithmetic and len(distinct) == 3:
-        return CheckRecord(
-            graph_id=graph.graph_id(),
-            check="probe-k3-three-index",
-            outcome="discrepancy",
-            witness={
-                "differences": distinct,
-                "arithmetic": True,
-                "note": "three distinct differences on K3 verified arithmetic",
-            },
-            wall_time_ms=elapsed,
-        )
-    return CheckRecord(
-        graph_id=graph.graph_id(),
-        check="probe-k3-three-index",
-        outcome="pass",
-        witness={"arithmetic": report.arithmetic, "is_iasi": report.is_iasi},
-        wall_time_ms=elapsed,
-    )
+    return _timed(graph.graph_id(), "probe-k3-three-index", _k3_three_index, graph, d)
 
 
-def _first_reducible_vertex(graph: Graph):
-    for v in graph.vertices:
-        if graph.degree(v) == 2:
-            u, w = graph.neighbors(v)
-            if not graph.has_edge(u, w):
-                return v
-    return None
+def _verify(lg: LabeledGraph):
+    report = verify_iasi(lg)
+    return _pass_or_fail(report.is_iasi), {"is_iasi": report.is_iasi}
 
 
-def _transform_record(gid: str, check: str, fn) -> CheckRecord:
-    """Run one transform; arithmetic output passes, collisions pass with a
-    witness, a rejected structure passes with the violation, and a
-    non-arithmetic output contradicts the transfer claims (discrepancy)."""
-    start = time.perf_counter()
+def _arithmetic(lg: LabeledGraph):
+    report = classify_arithmetic(lg)
+    return _pass_or_fail(report.arithmetic), {"arithmetic": report.arithmetic}
+
+
+def _multiplier(lg: LabeledGraph):
+    report = check_multiplier_condition(lg)
+    return _pass_or_fail(report.ok), {"violations": [str(v) for v in report.violations]}
+
+
+def _gcd(lg: LabeledGraph):
+    report = check_gcd_invariant(lg)
+    return _pass_or_fail(report.ok), {
+        "vertex_gcd": report.vertex_gcd,
+        "edge_gcd": report.edge_gcd,
+        "min_vertex_difference": report.min_vertex_difference,
+    }
+
+
+def _transform(transform, lg: LabeledGraph, *args):
+    """Arithmetic output passes, collisions pass with a witness, a rejected
+    structure passes with the violation, and a non-arithmetic output
+    contradicts the transfer claims (discrepancy)."""
     try:
-        out = fn()
+        out = transform(lg, *args)
     except LabelCollisionError as exc:
-        return CheckRecord(
-            gid, check, "pass", {"collision": exc.witness.to_dict()},
-            (time.perf_counter() - start) * 1000,
-        )
+        return "pass", {"collision": exc.witness.to_dict()}
     except GraphValidationError as exc:
-        return CheckRecord(
-            gid, check, "pass",
-            {"rejected": [v.kind for v in exc.violations]},
-            (time.perf_counter() - start) * 1000,
-        )
+        return "pass", {"rejected": [v.kind for v in exc.violations]}
     report = classify_arithmetic(out)
-    elapsed = (time.perf_counter() - start) * 1000
     if report.is_iasi and report.arithmetic:
-        return CheckRecord(gid, check, "pass", {"arithmetic": True}, elapsed)
+        return "pass", {"arithmetic": True}
     non_ap_edges = sorted(f"{u}-{v}" for u, v in summarize_indices(out).non_progression_edges())
-    return CheckRecord(
-        gid, check, "discrepancy",
-        {
-            "arithmetic": report.arithmetic,
-            "is_iasi": report.is_iasi,
-            "non_ap_edges": non_ap_edges,
-        },
-        elapsed,
-    )
+    return "discrepancy", {
+        "arithmetic": report.arithmetic,
+        "is_iasi": report.is_iasi,
+        "non_ap_edges": non_ap_edges,
+    }
 
 
-def _verdict(gid: str, check: str, ok: bool, witness: dict) -> CheckRecord:
-    return CheckRecord(gid, check, "pass" if ok else "fail", witness)
-
-
-def check_one_graph(graph: Graph, policy: str, seed: int, include_transforms: bool = True):
+def check_one_graph(graph: Graph, policy: str, seed: int):
     """All records for one catalog graph under one construction policy."""
     gid = graph.graph_id()
-    records = []
-    start = time.perf_counter()
-    result = construct_arbitrary(
-        graph,
-        ConstructionParams(
-            base_difference=1,
-            label_size_range=(3, 3),
-            multiplier_policy=policy,
-            seed=seed,
-        ),
-    )
+    result = None
+
+    def construct():
+        nonlocal result
+        params = ConstructionParams(
+            base_difference=1, label_size_range=(3, 3), multiplier_policy=policy, seed=seed
+        )
+        result = construct_arbitrary(graph, params)
+        return "pass", {"fallback": result.fallback_applied}
+
+    records = [_timed(gid, f"construct/{policy}", construct)]
     lg = result.labeled_graph
-    records.append(
-        CheckRecord(
-            gid, f"construct/{policy}", "pass",
-            {"fallback": result.fallback_applied},
-            (time.perf_counter() - start) * 1000,
-        )
-    )
-    report = classify_arithmetic(lg)
-    records.append(
-        _verdict(gid, f"verify/{policy}", report.is_iasi, {"is_iasi": report.is_iasi})
-    )
-    records.append(
-        _verdict(gid, f"arithmetic/{policy}", report.arithmetic, {"arithmetic": report.arithmetic})
-    )
-    multiplier = check_multiplier_condition(lg)
-    records.append(
-        _verdict(
-            gid, f"multiplier/{policy}", multiplier.ok,
-            {"violations": [str(v) for v in multiplier.violations]},
-        )
-    )
-    gcd_report = check_gcd_invariant(lg)
-    records.append(
-        _verdict(
-            gid, f"gcd/{policy}", gcd_report.ok,
-            {
-                "vertex_gcd": gcd_report.vertex_gcd,
-                "edge_gcd": gcd_report.edge_gcd,
-                "min_vertex_difference": gcd_report.min_vertex_difference,
-            },
-        )
-    )
-
-    if include_transforms:
-        first_edge = graph.edges[0]
-        records.append(
-            _transform_record(
-                gid, f"transform-contract/{policy}", lambda: contract_edge(lg, first_edge)
-            )
-        )
-        records.append(
-            _transform_record(
-                gid, f"transform-subdivide/{policy}", lambda: subdivide(lg, first_edge)
-            )
-        )
-        reducible = _first_reducible_vertex(graph)
-        if reducible is not None:
-            records.append(
-                _transform_record(
-                    gid,
-                    f"transform-reduce/{policy}",
-                    lambda: reduce_topologically(lg, reducible),
-                )
-            )
-        if len(graph.edges) >= 2:
-            records.append(
-                _transform_record(gid, f"transform-line/{policy}", lambda: to_line_graph(lg))
-            )
-        records.append(
-            _transform_record(gid, f"transform-total/{policy}", lambda: to_total_graph(lg))
-        )
-    return records
+    first_edge = graph.edges[0]
+    checks = [
+        ("verify", _verify, lg),
+        ("arithmetic", _arithmetic, lg),
+        ("multiplier", _multiplier, lg),
+        ("gcd", _gcd, lg),
+        ("transform-contract", _transform, contract_edge, lg, first_edge),
+        ("transform-subdivide", _transform, subdivide, lg, first_edge),
+    ]
+    reducible = next((v for v in graph.vertices if _reduction_problem(graph, v) is None), None)
+    if reducible is not None:
+        checks.append(("transform-reduce", _transform, reduce_topologically, lg, reducible))
+    if len(graph.edges) >= 2:
+        checks.append(("transform-line", _transform, to_line_graph, lg))
+    checks.append(("transform-total", _transform, to_total_graph, lg))
+    return records + [_timed(gid, f"{name}/{policy}", *check) for name, *check in checks]
 
 
-def run_catalog_checks(
-    max_n: int,
-    policies=("fixed",),
-    seed: int = 0,
-    include_transforms: bool = True,
-    probe: bool = True,
-):
+def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0):
     """Check the whole catalog; returns (records, summary).
 
     The record stream is deterministic for a given (max_n, policies, seed):
     graphs in enumeration order, checks in a fixed sequence, the K3 probe
-    last. The summary counts outcomes and carries the only timing data.
+    last. The summary counts outcomes and carries the sweep's elapsed time.
     """
     started = time.perf_counter()
     records = []
@@ -309,8 +262,8 @@ def run_catalog_checks(
     for graph in enumerate_connected_graphs(max_n):
         graphs += 1
         for policy in policies:
-            records.extend(check_one_graph(graph, policy, seed, include_transforms))
-    if probe and max_n >= 3:
+            records.extend(check_one_graph(graph, policy, seed))
+    if max_n >= 3:
         records.append(probe_k3_three_index())
     counts = {"pass": 0, "fail": 0, "discrepancy": 0}
     for r in records:

@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (FileNotFoundError, IasiError, ValueError) as exc:
+    except (OSError, IasiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

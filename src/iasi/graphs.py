@@ -237,13 +237,6 @@ class LabeledGraph:
             self._cache[key] = compute(self)
         return self._cache[key]
 
-    def label(self, v) -> IntegerSet:
-        return self.vertex_labels[v]
-
-    def edge_label(self, u, v=None) -> IntegerSet:
-        e = _canonical_edge(*u) if v is None else _canonical_edge(u, v)
-        return self.edge_labels[e]
-
     def relabel(self, changes) -> "LabeledGraph":
         """A copy with some vertex labels replaced."""
         labels = dict(self.vertex_labels)

@@ -143,13 +143,19 @@ def _format_set(label) -> str:
     return "{%s}" % ",".join(str(e) for e in label)
 
 
+def _dot_id(name: str) -> str:
+    """A vertex name as a quoted DOT id, with backslashes and quotes escaped."""
+    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def dot_text(lg: LabeledGraph) -> str:
     """Graphviz source with one node/edge line per element, label attributes set."""
     lines = ["graph G {"]
     for v in lg.graph.vertices:
-        lines.append(f'  "{v}" [label="{_format_set(lg.vertex_labels[v])}"];')
+        lines.append(f'  {_dot_id(v)} [label="{_format_set(lg.vertex_labels[v])}"];')
     for u, v in lg.graph.edges:
-        lines.append(f'  "{u}" -- "{v}" [label="{_format_set(lg.edge_labels[(u, v)])}"];')
+        label = _format_set(lg.edge_labels[(u, v)])
+        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -58,11 +58,6 @@ class IntegerSet(tuple):
             seen.add(e)
         return tuple.__new__(cls, sorted(seen))
 
-    @property
-    def span(self) -> int:
-        """max - min; 0 for singletons."""
-        return self[-1] - self[0]
-
     def __repr__(self):
         return "IntegerSet({%s})" % ", ".join(str(e) for e in self)
 

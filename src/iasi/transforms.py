@@ -99,6 +99,18 @@ def contract_edge(lg: LabeledGraph, edge) -> LabeledGraph:
     return _verified(LabeledGraph(Graph(vertices, sorted(new_edges)), labels))
 
 
+def _reduction_problem(graph: Graph, vertex) -> str | None:
+    """Why ``vertex`` cannot be reduced topologically, or None if it can."""
+    if vertex not in graph.vertices:
+        return f"no such vertex: {vertex!r}"
+    if graph.degree(vertex) != 2:
+        return f"vertex {vertex!r} has degree {graph.degree(vertex)}, need exactly 2"
+    u, w = graph.neighbors(vertex)
+    if graph.has_edge(u, w):
+        return f"neighbors {u!r} and {w!r} are adjacent; reduction undefined"
+    return None
+
+
 def reduce_topologically(lg: LabeledGraph, vertex: str) -> LabeledGraph:
     """Remove a degree-2 vertex with non-adjacent neighbors; bridge them.
 
@@ -106,16 +118,10 @@ def reduce_topologically(lg: LabeledGraph, vertex: str) -> LabeledGraph:
     the sumset of the reconnected endpoints.
     """
     _require_arithmetic(lg, "reduce_topologically")
-    if vertex not in lg.vertex_labels:
-        raise ValueError(f"no such vertex: {vertex!r}")
-    if lg.graph.degree(vertex) != 2:
-        raise ValueError(
-            f"vertex {vertex!r} has degree {lg.graph.degree(vertex)}, need exactly 2"
-        )
+    problem = _reduction_problem(lg.graph, vertex)
+    if problem:
+        raise ValueError(problem)
     u, w = lg.graph.neighbors(vertex)
-    if lg.graph.has_edge(u, w):
-        raise ValueError(f"neighbors {u!r} and {w!r} are adjacent; reduction undefined")
-
     vertices = [x for x in lg.graph.vertices if x != vertex]
     edges = [e for e in lg.graph.edges if vertex not in e] + [_canonical_edge(u, w)]
     labels = {x: lg.vertex_labels[x] for x in vertices}

@@ -1,7 +1,10 @@
 """Small-graph enumeration and the theorem-checking harness."""
 
+import hashlib
+import itertools
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +21,9 @@ from iasi import (
     star_graph,
     write_records_jsonl,
 )
+from iasi import catalog
+
+PROBE = "probe-k3-three-index"
 
 # connected labeled graphs on n vertices, a classical count
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -83,7 +89,7 @@ def test_family_bounds(family, bad):
 def test_probe_is_a_discrepancy():
     record = probe_k3_three_index()
     assert record.outcome == "discrepancy"
-    assert record.check == "probe-k3-three-index"
+    assert record.check == PROBE
     assert record.witness["differences"] == [1, 2, 4]
 
 
@@ -135,7 +141,34 @@ def test_reduce_and_line_checks_skipped_when_undefined():
     assert "transform-line/fixed" not in names  # single edge
 
 
+def _timed_records():
+    return [
+        *check_one_graph(cycle_graph(4), "maximal", seed=0),
+        *check_one_graph(path_graph(2), "random", seed=0),
+        probe_k3_three_index(),
+    ]
+
+
+def test_every_record_is_timed_by_one_runner(monkeypatch):
+    # a clock that ticks one second per reading: a record built from exactly
+    # one start/stop pair reads 1000 ms, any other way of building it does not
+    ticks = itertools.count()
+    monkeypatch.setattr(catalog, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    records = _timed_records()
+    assert {r.wall_time_ms for r in records} == {1000.0}
+
+
+def test_every_record_has_a_real_timing():
+    assert all(r.wall_time_ms > 0.0 for r in _timed_records())
+
+
 # --------------------------------------------------------------- full sweeps
+
+
+def test_catalog_stream_is_pinned():
+    records, _ = run_catalog_checks(4, ("fixed", "random", "maximal"), seed=0)
+    digest = hashlib.sha256(records_jsonl(records).encode("utf-8")).hexdigest()
+    assert digest == "8009e3ecbba9873911d3a5cd1d596293f0344dc669c8080231e4e2a29a7fc505"
 
 
 def test_catalog_small_sweep_fixed_policy():
@@ -148,15 +181,15 @@ def test_catalog_small_sweep_fixed_policy():
 
 
 def test_catalog_maximal_policy_flags_reduction_gap():
-    records, _ = run_catalog_checks(4, policies=("maximal",), seed=0, probe=False)
-    gaps = [r for r in records if r.outcome == "discrepancy"]
+    records, _ = run_catalog_checks(4, policies=("maximal",), seed=0)
+    gaps = [r for r in records if r.outcome == "discrepancy" and r.check != PROBE]
     assert gaps
     assert all(r.check == "transform-reduce/maximal" for r in gaps)
     assert all("non_ap_edges" in r.witness for r in gaps)
 
 
 def test_catalog_total_graph_collisions_pass_with_witness():
-    records, _ = run_catalog_checks(4, policies=("fixed",), seed=0, probe=False)
+    records, _ = run_catalog_checks(4, policies=("fixed",), seed=0)
     totals = [r for r in records if r.check == "transform-total/fixed"]
     collided = [r for r in totals if "collision" in r.witness]
     assert collided
@@ -165,5 +198,5 @@ def test_catalog_total_graph_collisions_pass_with_witness():
 
 def test_probe_suppressed_when_disabled():
     records, summary = run_catalog_checks(2, policies=("fixed",), seed=0)
-    assert all(r.check != "probe-k3-three-index" for r in records)
+    assert all(r.check != PROBE for r in records)
     assert summary["outcomes"]["discrepancy"] == 0

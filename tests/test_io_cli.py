@@ -177,6 +177,18 @@ def test_dot_frozen_sample():
     )
 
 
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    g = Graph(['a"b', "c\\d"], [('a"b', "c\\d")])
+    lg = LabeledGraph(g, {'a"b': {0, 1}, "c\\d": {2, 4}})
+    assert dot_text(lg) == (
+        "graph G {\n"
+        '  "a\\"b" [label="{0,1}"];\n'
+        '  "c\\\\d" [label="{2,4}"];\n'
+        '  "a\\"b" -- "c\\\\d" [label="{2,3,4,5}"];\n'
+        "}\n"
+    )
+
+
 def test_dot_export_is_byte_stable(tmp_path):
     lg = sample_lg()
     a, b = tmp_path / "a.dot", tmp_path / "b.dot"
@@ -330,6 +342,16 @@ def test_cli_export_dot(tmp_path, capsys):
 
 def test_cli_missing_input_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--input", str(tmp_path / "nope.json"))
+    assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("role", ["input", "output"])
+def test_cli_directory_path_is_usage_error(tmp_path, capsys, role):
+    graph = bare_graph_doc(tmp_path, Graph(["u", "v"], [("u", "v")]))
+    paths = {"input": graph, "output": str(tmp_path / "out.json"), role: str(tmp_path)}
+    code, _, err = run_cli(
+        capsys, "construct", "--input", paths["input"], "--output", paths["output"]
+    )
     assert code == 2 and "error" in err
 
 

@@ -1,6 +1,7 @@
 """Package-wide properties of the source tree."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -24,3 +25,16 @@ def test_package_imports_only_stdlib_and_itself():
                 if top != "iasi" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_package_exports_are_listed_in_each_submodule_all():
+    init = Path(iasi.__file__)
+    unlisted = []
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+            continue
+        exported = getattr(importlib.import_module(f"iasi.{node.module}"), "__all__", None)
+        if exported is None:
+            continue
+        unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert unlisted == []
