@@ -26,11 +26,9 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     find_graph_violations,
-    induce_edge_labels,
     path_graph,
     star_graph,
     summarize_indices,
-    validate_graph,
 )
 from .classify import (
     ClassificationReport,
@@ -80,7 +78,6 @@ from .catalog import (
     probe_k3_three_index,
     records_jsonl,
     run_catalog_checks,
-    write_records_jsonl,
 )
 from .errors import (
     DisconnectedGraphError,

@@ -19,6 +19,7 @@ record lands as a discrepancy.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -38,9 +39,6 @@ from .graphs import (
     LabeledGraph,
     _bfs_components,
     complete_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
     summarize_indices,
 )
 from .transforms import (
@@ -55,14 +53,9 @@ from .transforms import (
 __all__ = [
     "MAX_CATALOG_N",
     "enumerate_connected_graphs",
-    "path_graph",
-    "cycle_graph",
-    "complete_graph",
-    "star_graph",
     "CheckRecord",
     "check_one_graph",
     "records_jsonl",
-    "write_records_jsonl",
     "probe_k3_three_index",
     "run_catalog_checks",
 ]
@@ -83,10 +76,15 @@ def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
     """Every connected labeled graph on 2..max_n vertices, smallest first.
 
     Within one vertex count the order is by edge bitmask over the
-    lexicographic vertex pairs, so the stream is stable across runs.
+    lexicographic vertex pairs, so the stream is stable across runs. A bad
+    ``max_n`` raises here, at the call, not at the first graph.
     """
     if not isinstance(max_n, int) or not MIN_CATALOG_N <= max_n <= MAX_CATALOG_N:
         raise ValueError(f"max_n must be in [{MIN_CATALOG_N}, {MAX_CATALOG_N}], got {max_n!r}")
+    return _connected_graphs(max_n)
+
+
+def _connected_graphs(max_n: int) -> Iterator[Graph]:
     for n in range(MIN_CATALOG_N, max_n + 1):
         vertices = list(_LETTERS[:n])
         pairs = list(combinations(range(n), 2))
@@ -123,11 +121,6 @@ class CheckRecord:
 
 def records_jsonl(records) -> str:
     return "".join(r.json_line() + "\n" for r in records)
-
-
-def write_records_jsonl(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(records_jsonl(records))
 
 
 def _timed(gid: str, check: str, outcome_fn, *args) -> CheckRecord:
@@ -216,6 +209,12 @@ def _transform(transform, lg: LabeledGraph, *args):
     }
 
 
+def _params(policy: str, seed: int) -> ConstructionParams:
+    return ConstructionParams(
+        base_difference=1, label_size_range=(3, 3), multiplier_policy=policy, seed=seed
+    )
+
+
 def check_one_graph(graph: Graph, policy: str, seed: int):
     """All records for one catalog graph under one construction policy."""
     gid = graph.graph_id()
@@ -223,10 +222,7 @@ def check_one_graph(graph: Graph, policy: str, seed: int):
 
     def construct():
         nonlocal result
-        params = ConstructionParams(
-            base_difference=1, label_size_range=(3, 3), multiplier_policy=policy, seed=seed
-        )
-        result = construct_arbitrary(graph, params)
+        result = construct_arbitrary(graph, _params(policy, seed))
         return "pass", {"fallback": result.fallback_applied}
 
     records = [_timed(gid, f"construct/{policy}", construct)]
@@ -249,32 +245,44 @@ def check_one_graph(graph: Graph, policy: str, seed: int):
     return records + [_timed(gid, f"{name}/{policy}", *check) for name, *check in checks]
 
 
-def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0):
-    """Check the whole catalog; returns (records, summary).
+def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_path=None):
+    """Check the whole catalog, writing each graph's JSONL lines to
+    ``records_path`` (``os.devnull`` when None) as soon as the graph is
+    checked; returns the summary.
 
-    The record stream is deterministic for a given (max_n, policies, seed):
-    graphs in enumeration order, checks in a fixed sequence, the K3 probe
-    last. The summary counts outcomes and carries the sweep's elapsed time.
+    ``max_n``, every policy and the seed are checked before the file is
+    opened, so bad arguments leave an existing file untouched, and a sweep
+    that stops on an error leaves the lines of every graph it finished. The
+    stream is deterministic for a given (max_n, policies, seed): graphs in
+    enumeration order, checks in a fixed sequence, the K3 probe last. Only
+    counters are kept; the summary counts outcomes and carries the sweep's
+    elapsed time.
     """
     started = time.perf_counter()
-    records = []
-    graphs = 0
-    for graph in enumerate_connected_graphs(max_n):
-        graphs += 1
-        for policy in policies:
-            records.extend(check_one_graph(graph, policy, seed))
-    if max_n >= 3:
-        records.append(probe_k3_three_index())
+    graphs = enumerate_connected_graphs(max_n)
+    for policy in policies:
+        _params(policy, seed)
     counts = {"pass": 0, "fail": 0, "discrepancy": 0}
-    for r in records:
-        counts[r.outcome] += 1
-    summary = {
+    checked = 0
+    with open(records_path or os.devnull, "w", encoding="utf-8") as out:
+
+        def emit(records):
+            out.write(records_jsonl(records))
+            for r in records:
+                counts[r.outcome] += 1
+
+        for graph in graphs:
+            checked += 1
+            for policy in policies:
+                emit(check_one_graph(graph, policy, seed))
+        if max_n >= 3:
+            emit([probe_k3_three_index()])
+    return {
         "max_n": max_n,
         "policies": list(policies),
         "seed": seed,
-        "graphs": graphs,
-        "records": len(records),
+        "graphs": checked,
+        "records": sum(counts.values()),
         "outcomes": counts,
         "elapsed_s": round(time.perf_counter() - started, 3),
     }
-    return records, summary

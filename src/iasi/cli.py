@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .catalog import run_catalog_checks, write_records_jsonl
+from .catalog import MAX_CATALOG_N, MIN_CATALOG_N, run_catalog_checks
 from .classify import classify_arithmetic, verify_iasi
 from .construct import ConstructionParams, construct_arbitrary
 from .errors import IasiError, LabelCollisionError
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("catalog", help="run the exhaustive small-graph checks")
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=4, choices=range(MIN_CATALOG_N, MAX_CATALOG_N + 1))
     p.add_argument(
         "--policy",
         action="append",
@@ -223,9 +223,10 @@ def _cmd_catalog(args) -> int:
         print("error: --max-n 7 enumerates 1.87M graphs; pass --allow-large", file=sys.stderr)
         return EXIT_USAGE
     policies = tuple(args.policy) if args.policy else ("fixed",)
-    records, summary = run_catalog_checks(args.max_n, policies=policies, seed=args.seed)
+    summary = run_catalog_checks(
+        args.max_n, policies=policies, seed=args.seed, records_path=args.records
+    )
     if args.records:
-        write_records_jsonl(records, args.records)
         summary["records_file"] = args.records
     _emit({"command": "catalog", **summary})
     bad = summary["outcomes"]["fail"] + summary["outcomes"]["discrepancy"]

@@ -20,13 +20,11 @@ __all__ = [
     "GraphViolation",
     "find_graph_violations",
     "Graph",
-    "validate_graph",
     "path_graph",
     "cycle_graph",
     "complete_graph",
     "star_graph",
     "LabeledGraph",
-    "induce_edge_labels",
     "IndexSummary",
     "summarize_indices",
 ]
@@ -167,11 +165,6 @@ class Graph:
         return f"Graph(|V|={len(self.vertices)}, edges={self.graph_id()!r})"
 
 
-def validate_graph(vertices, edges) -> Graph:
-    """Canonicalize raw vertex/edge data into a Graph or raise with all violations."""
-    return Graph(vertices, edges)
-
-
 def path_graph(n: int) -> Graph:
     if n < 2 or n > len(_LETTERS):
         raise ValueError(f"path needs 2..{len(_LETTERS)} vertices, got {n}")
@@ -253,11 +246,6 @@ class LabeledGraph:
 
     def __repr__(self):
         return f"LabeledGraph({self.graph!r})"
-
-
-def induce_edge_labels(graph: Graph, vertex_labels) -> LabeledGraph:
-    """Attach a total labeling to ``graph``; every edge gets the endpoint sumset."""
-    return LabeledGraph(graph, vertex_labels)
 
 
 @dataclass(frozen=True)

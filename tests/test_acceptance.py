@@ -26,7 +26,6 @@ from iasi import (
     document_text,
     enumerate_connected_graphs,
     predicted_edge_cardinality,
-    records_jsonl,
     reduce_topologically,
     run_catalog_checks,
     subdivide,
@@ -264,12 +263,13 @@ def test_criterion_7_weak_edges_need_a_singleton():
     )
 
 
-def test_criterion_8_reruns_are_byte_identical():
+def test_criterion_8_reruns_are_byte_identical(tmp_path):
     start = time.perf_counter()
 
     def catalog_bytes():
-        records, _ = run_catalog_checks(4, policies=("fixed", "maximal"), seed=0)
-        return records_jsonl(records)
+        path = tmp_path / "records.jsonl"
+        run_catalog_checks(4, policies=("fixed", "maximal"), seed=0, records_path=path)
+        return path.read_bytes()
 
     def complete_bytes():
         return "".join(document_text(lg) for _, _, _, lg in _complete_sweep())

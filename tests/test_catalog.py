@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import os
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -19,7 +21,6 @@ from iasi import (
     records_jsonl,
     run_catalog_checks,
     star_graph,
-    write_records_jsonl,
 )
 from iasi import catalog
 
@@ -40,10 +41,11 @@ def test_enumeration_count_six_vertices():
 
 
 def test_enumeration_bounds():
+    # checked at the call, before any graph is asked for
     with pytest.raises(ValueError):
-        list(enumerate_connected_graphs(1))
+        enumerate_connected_graphs(1)
     with pytest.raises(ValueError):
-        list(enumerate_connected_graphs(8))
+        enumerate_connected_graphs(8)
 
 
 def test_enumeration_yields_connected_canonical_graphs():
@@ -110,13 +112,14 @@ def test_record_json_line_shape():
 
 
 def test_records_jsonl_is_deterministic(tmp_path):
-    rec_a, _ = run_catalog_checks(3, policies=("fixed",), seed=0)
-    rec_b, _ = run_catalog_checks(3, policies=("fixed",), seed=0)
-    assert records_jsonl(rec_a) == records_jsonl(rec_b)
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    run_catalog_checks(3, policies=("fixed",), seed=0, records_path=a)
+    run_catalog_checks(3, policies=("fixed",), seed=0, records_path=b)
+    assert a.read_bytes() == b.read_bytes()
 
-    out = tmp_path / "records.jsonl"
-    write_records_jsonl(rec_a, out)
-    assert out.read_text() == records_jsonl(rec_a)
+    # the file is exactly the serialized records of each graph, then the probe
+    replay = [r for g in enumerate_connected_graphs(3) for r in check_one_graph(g, "fixed", 0)]
+    assert a.read_text() == records_jsonl([*replay, probe_k3_three_index()])
 
 
 def test_check_one_graph_covers_expected_checks():
@@ -165,14 +168,25 @@ def test_every_record_has_a_real_timing():
 # --------------------------------------------------------------- full sweeps
 
 
-def test_catalog_stream_is_pinned():
-    records, _ = run_catalog_checks(4, ("fixed", "random", "maximal"), seed=0)
-    digest = hashlib.sha256(records_jsonl(records).encode("utf-8")).hexdigest()
+def sweep(tmp_path, *args, **kwargs):
+    """Run a sweep into a records file; return the records read back and the summary."""
+    path = tmp_path / "records.jsonl"
+    summary = run_catalog_checks(*args, records_path=path, **kwargs)
+    lines = map(json.loads, path.read_text().splitlines())
+    records = [CheckRecord(d["graph"], d["check"], d["outcome"], d["witness"]) for d in lines]
+    assert len(records) == summary["records"]
+    return records, summary
+
+
+def test_catalog_stream_is_pinned(tmp_path):
+    path = tmp_path / "records.jsonl"
+    run_catalog_checks(4, ("fixed", "random", "maximal"), seed=0, records_path=path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "8009e3ecbba9873911d3a5cd1d596293f0344dc669c8080231e4e2a29a7fc505"
 
 
-def test_catalog_small_sweep_fixed_policy():
-    records, summary = run_catalog_checks(3, policies=("fixed",), seed=0)
+def test_catalog_small_sweep_fixed_policy(tmp_path):
+    records, summary = sweep(tmp_path, 3, policies=("fixed",), seed=0)
     assert summary["graphs"] == 5
     assert summary["outcomes"]["fail"] == 0
     # the K3 probe is the only expected discrepancy under the fixed policy
@@ -180,23 +194,66 @@ def test_catalog_small_sweep_fixed_policy():
     assert [r.check for r in odd] == ["probe-k3-three-index"]
 
 
-def test_catalog_maximal_policy_flags_reduction_gap():
-    records, _ = run_catalog_checks(4, policies=("maximal",), seed=0)
+def test_catalog_maximal_policy_flags_reduction_gap(tmp_path):
+    records, _ = sweep(tmp_path, 4, policies=("maximal",), seed=0)
     gaps = [r for r in records if r.outcome == "discrepancy" and r.check != PROBE]
     assert gaps
     assert all(r.check == "transform-reduce/maximal" for r in gaps)
     assert all("non_ap_edges" in r.witness for r in gaps)
 
 
-def test_catalog_total_graph_collisions_pass_with_witness():
-    records, _ = run_catalog_checks(4, policies=("fixed",), seed=0)
+def test_catalog_total_graph_collisions_pass_with_witness(tmp_path):
+    records, _ = sweep(tmp_path, 4, policies=("fixed",), seed=0)
     totals = [r for r in records if r.check == "transform-total/fixed"]
     collided = [r for r in totals if "collision" in r.witness]
     assert collided
     assert all(r.outcome == "pass" for r in collided)
 
 
-def test_probe_suppressed_when_disabled():
-    records, summary = run_catalog_checks(2, policies=("fixed",), seed=0)
+def test_probe_suppressed_when_disabled(tmp_path):
+    records, summary = sweep(tmp_path, 2, policies=("fixed",), seed=0)
     assert all(r.check != PROBE for r in records)
     assert summary["outcomes"]["discrepancy"] == 0
+
+
+def test_lines_are_written_as_each_graph_is_checked(tmp_path, monkeypatch):
+    graphs = list(enumerate_connected_graphs(3))
+    k = 4
+    finished = [r for g in graphs[: k - 1] for r in check_one_graph(g, "fixed", 0)]
+    calls = itertools.count(1)
+    real = catalog.check_one_graph
+
+    def fail_on_kth(graph, policy, seed):
+        if next(calls) == k:
+            raise RuntimeError("stop")
+        return real(graph, policy, seed)
+
+    monkeypatch.setattr(catalog, "check_one_graph", fail_on_kth)
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(RuntimeError, match="stop"):
+        run_catalog_checks(3, records_path=path)
+    assert path.read_text() == records_jsonl(finished)
+
+
+def test_sweep_memory_does_not_grow_with_the_catalog():
+    run_catalog_checks(3)  # warm import-time and first-call allocations
+
+    def peak(max_n):
+        tracemalloc.start()
+        try:
+            run_catalog_checks(max_n, records_path=os.devnull)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # n<=5 checks 771 graphs against n<=4's 43
+    assert peak(5) <= 2 * peak(4)
+
+
+@pytest.mark.parametrize("bad", [{"max_n": 1}, {"seed": -1}, {"policies": ("bogus",)}])
+def test_bad_arguments_leave_records_file_untouched(tmp_path, bad):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"earlier sweep\n")
+    with pytest.raises(ValueError):
+        run_catalog_checks(**{"max_n": 3, **bad}, records_path=path)
+    assert path.read_bytes() == b"earlier sweep\n"

@@ -11,9 +11,7 @@ from iasi import (
     LabelOverflowError,
     U64_MAX,
     find_graph_violations,
-    induce_edge_labels,
     summarize_indices,
-    validate_graph,
 )
 
 
@@ -65,7 +63,7 @@ def test_graph_accepts_one_shot_iterables(one_shot):
 
 
 def test_validate_graph_canonicalizes():
-    g = validate_graph(["b", "a", "c"], [("c", "a"), ("b", "a")])
+    g = Graph(["b", "a", "c"], [("c", "a"), ("b", "a")])
     assert g.vertices == ("a", "b", "c")
     assert g.edges == (("a", "b"), ("a", "c"))
     assert g.neighbors("a") == ("b", "c")
@@ -99,7 +97,7 @@ def triangle():
 
 
 def test_induced_edge_labels_frozen_example():
-    lg = induce_edge_labels(
+    lg = LabeledGraph(
         triangle(), {"u": {0, 1}, "v": {2, 3}, "w": {4, 6}}
     )
     assert tuple(lg.edge_labels[("u", "v")]) == (2, 3, 4)

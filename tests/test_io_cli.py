@@ -17,6 +17,7 @@ from iasi import (
     load_graph,
     save_document,
 )
+from iasi import catalog
 from iasi.cli import main
 
 
@@ -329,6 +330,36 @@ def test_cli_catalog_flags_probe(tmp_path, capsys):
 def test_cli_catalog_large_needs_opt_in(capsys):
     code, _, err = run_cli(capsys, "catalog", "--max-n", "7")
     assert code == 2 and "--allow-large" in err
+
+
+@pytest.mark.parametrize("argv", [["1"], ["9"], ["9", "--allow-large"]])
+def test_cli_catalog_max_n_out_of_range(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--max-n", *argv])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid choice" in err and "2, 3, 4, 5, 6, 7" in err
+
+
+@pytest.mark.parametrize("bad", [["--max-n", "1"], ["--seed", "-1"]])
+def test_cli_catalog_bad_arguments_leave_records_untouched(tmp_path, capsys, bad):
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(b"earlier sweep\n")
+    argv = ["catalog", "--max-n", "3", "--records", str(records), *bad]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert records.read_bytes() == b"earlier sweep\n"
+
+
+def test_cli_catalog_unwritable_records_checks_nothing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(catalog, "check_one_graph", lambda *args: calls.append(args))
+    code, _, err = run_cli(capsys, "catalog", "--max-n", "5", "--records", str(tmp_path))
+    assert code == 2 and "error" in err
+    assert calls == []
 
 
 def test_cli_export_dot(tmp_path, capsys):
