@@ -34,10 +34,10 @@ from .classify import (
 from .construct import ConstructionParams, _progression_labels, construct_arbitrary
 from .errors import GraphValidationError, LabelCollisionError
 from .graphs import (
-    _LETTERS,
     Graph,
     LabeledGraph,
     _bfs_components,
+    _vertex_names,
     complete_graph,
     summarize_indices,
 )
@@ -86,7 +86,7 @@ def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
 
 def _connected_graphs(max_n: int) -> Iterator[Graph]:
     for n in range(MIN_CATALOG_N, max_n + 1):
-        vertices = list(_LETTERS[:n])
+        vertices = _vertex_names(n)
         pairs = list(combinations(range(n), 2))
         for mask in range(1, 1 << len(pairs)):
             chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]

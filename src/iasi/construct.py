@@ -5,21 +5,30 @@ vertex a progression whose common difference is a bounded multiple of every
 already-visited neighbor's difference, and spread first terms far enough
 apart that no two vertex labels and no two edge labels can coincide.
 
-First terms come from a greedy sequence with pairwise-distinct sums
-(1, 2, 3, 5, 8, 13, ...) scaled by a stride wider than twice the largest
-label span: distinct offsets separate vertex labels, distinct offset sums
-separate edge labels, and the stride keeps whole labels disjoint.
+First terms come from a sequence with pairwise-distinct sums scaled by a
+stride wider than twice the largest label span: distinct offsets separate
+vertex labels, distinct offset sums separate edge labels, and the stride
+keeps whole labels disjoint. Up to 20 vertices the sequence is the greedy
+one (1, 2, 3, 5, 8, 13, ...); above 20 it is the Erdos-Turan Sidon set
+2pk + (k^2 mod p), built in linear time. The two differ, so the offsets of
+a 21-vertex layout do not extend those of a 20-vertex one.
+
+Multipliers compound along a path, so differences are held within one
+budget, fixed before the traversal, that keeps every label element and
+every edge sum within 64 bits; a multiplier that would leave it is cut to
+1 and reported.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .classify import verify_iasi
 from .errors import LabelCollisionError, SubgraphError
 from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
-from .sets import APSet
+from .sets import U64_MAX, APSet
 
 __all__ = [
     "ConstructionParams",
@@ -33,14 +42,27 @@ __all__ = [
 _POLICIES = ("fixed", "random", "maximal")
 
 
-def distinct_sum_sequence(count: int) -> list[int]:
-    """First ``count`` terms of the greedy sequence with distinct pairwise sums.
+# Up to this many terms the greedy sequence is used; the catalog's bytes
+# depend on its prefix. Above it, the Erdos-Turan terms cost linear time.
+_GREEDY_TERMS = 20
 
-    Greedy from 1; a candidate joins when every sum with an earlier term is
-    new. Gives 1, 2, 3, 5, 8, 13, 21, ...
+
+def distinct_sum_sequence(count: int) -> list[int]:
+    """``count`` strictly increasing terms whose pairwise sums are all distinct.
+
+    Up to 20 terms: the greedy sequence from 1, where a candidate
+    joins when every sum with an earlier term is new (1, 2, 3, 5, 8, 13, 21,
+    ...); its cost grows steeply with ``count``. Above that: the Erdos-Turan
+    Sidon set 2pk + (k^2 mod p) for k = 0..count-1 with p the smallest prime
+    >= count (J. London Math. Soc. 16, 1941), in linear time. The two are
+    different sequences, so a longer result need not extend a shorter one
+    across the switch.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
+    if count > _GREEDY_TERMS:
+        p = _next_prime(count)
+        return [2 * p * k + (k * k) % p for k in range(count)]
     terms: list[int] = []
     sums = set()
     candidate = 1
@@ -51,6 +73,13 @@ def distinct_sum_sequence(count: int) -> list[int]:
             terms.append(candidate)
         candidate += 1
     return terms
+
+
+def _next_prime(n: int) -> int:
+    """The smallest prime >= n (n >= 2)."""
+    while any(n % q == 0 for q in range(2, isqrt(n) + 1)):
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -104,6 +133,9 @@ class ConstructionResult:
     fallback_applied means the multi-neighbor difference constraints could
     not all be met and the whole graph was relabeled with the uniform base
     difference (which always works); fallback_vertex names the trigger.
+    diagnostics holds the breadth-first "traversal" order and the vertices
+    whose multiplier the difference budget "capped" to 1 (none after a
+    fallback, which resets every difference).
     """
 
     labeled_graph: LabeledGraph
@@ -131,6 +163,21 @@ def _progression_labels(order, differences: dict, sizes: dict, offsets=None):
     return offsets, labels
 
 
+def _difference_budget(count: int, max_size: int, offsets) -> int:
+    """The largest common difference that keeps every label element <= U64_MAX.
+
+    With automatic offsets every element of a vertex or edge label lies
+    below (2F + 1) * stride, where F is the largest of the ``count``
+    distinct-sum terms and stride = 2 * max span + 1, a span being at most
+    (max_size - 1) * difference. With explicit offsets every element is at
+    most 2 * max(offsets) + 2 * (max_size - 1) * difference.
+    """
+    if offsets is None:
+        widest_stride = (U64_MAX + 1) // (2 * distinct_sum_sequence(count)[-1] + 1)
+        return (widest_stride - 1) // 2 // (max_size - 1)
+    return (U64_MAX - 2 * max(offsets)) // (2 * (max_size - 1))
+
+
 def _pick_multiplier(policy: str, rng: random.Random, bound: int) -> int:
     if policy == "fixed":
         return 1
@@ -150,9 +197,16 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     of each of them; otherwise the whole graph falls back to the uniform
     base difference, which satisfies every edge with k=1.
 
-    With automatic offsets the result is always an arithmetic set-indexer.
-    Explicit offsets are honored verbatim and can collide; a collision
-    raises LabelCollisionError instead of returning a broken labeling.
+    Multipliers compound along a path, so a k*d beyond the difference
+    budget (the largest difference whose labels and edge sums all fit in
+    64 bits) is replaced by d, k=1, and the vertex is listed in
+    ``diagnostics["capped"]``. The rng is drawn from as if nothing were
+    capped, so a labeling that hits no cap is the same as without one.
+
+    With automatic offsets and a base difference within the budget the
+    result is always an arithmetic set-indexer. Explicit offsets are
+    honored verbatim and can collide; a collision raises
+    LabelCollisionError instead of returning a broken labeling.
     """
     # breadth-first from the smallest vertex of each component
     order = [v for comp in _bfs_components(graph.vertices, graph.neighbors) for v in comp]
@@ -167,8 +221,12 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     else:
         lo, hi = params.label_size_range
         sizes = {v: (lo if lo == hi else rng.randint(lo, hi)) for v in order}
+    if params.start_offsets is not None and len(params.start_offsets) != len(order):
+        raise ValueError(f"expected {len(order)} offsets, got {len(params.start_offsets)}")
+    budget = _difference_budget(len(order), max(sizes.values()), params.start_offsets)
 
     differences: dict = {}
+    capped = []
     fallback_vertex = None
     for v in order:
         visited = [u for u in graph.neighbors(v) if u in differences]
@@ -179,7 +237,11 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
         if len(diffs) == 1:
             d = diffs.pop()
             bound = min(sizes[u] for u in visited)
-            differences[v] = _pick_multiplier(params.multiplier_policy, rng, bound) * d
+            k = _pick_multiplier(params.multiplier_policy, rng, bound)
+            if k > 1 and k * d > budget:
+                k = 1
+                capped.append(v)
+            differences[v] = k * d
         else:
             top = max(diffs)
             feasible = all(
@@ -193,13 +255,10 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
                 break
     if fallback_vertex is not None:
         differences = {v: params.base_difference for v in order}
+        capped = []
 
     offsets = None
     if params.start_offsets is not None:
-        if len(params.start_offsets) != len(order):
-            raise ValueError(
-                f"expected {len(order)} offsets, got {len(params.start_offsets)}"
-            )
         offsets = dict(zip(order, params.start_offsets))
     offsets, labels = _progression_labels(order, differences, sizes, offsets)
     lg = LabeledGraph(graph, labels)
@@ -216,7 +275,7 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
         offsets=offsets,
         fallback_applied=fallback_vertex is not None,
         fallback_vertex=fallback_vertex,
-        diagnostics={"traversal": tuple(order)},
+        diagnostics={"traversal": tuple(order), "capped": tuple(capped)},
     )
 
 
@@ -230,8 +289,6 @@ def construct_complete(
     cardinality: every cross edge pairs a d-label with a k*d-label, and k
     beyond that cardinality would break the progression.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need at least two vertices, got {n!r}")
     graph = complete_graph(n)
     r, l = part_sizes
     if r < 1 or l < 0 or r + l != n:

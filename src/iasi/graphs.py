@@ -10,7 +10,7 @@ lexicographic so output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, product
 from typing import Iterator
 
 from .errors import GraphValidationError, InvalidLabelingError
@@ -40,6 +40,21 @@ class GraphViolation:
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _vertex_names(n: int, what: str = "graph", least: int = 1) -> list[str]:
+    """``n`` vertex names whose lexicographic order is their creation order.
+
+    Up to 26 they are the single letters a, b, c, ...; beyond that, letter
+    strings of one fixed width (aa, ab, ...). A ``what`` with fewer than
+    ``least`` vertices raises ValueError.
+    """
+    if not isinstance(n, int) or n < least:
+        raise ValueError(f"{what} needs at least {least} vertices, got {n!r}")
+    width = 1
+    while len(_LETTERS) ** width < n:
+        width += 1
+    return ["".join(p) for p in islice(product(_LETTERS, repeat=width), n)]
 
 
 def _canonical_edge(u, v):
@@ -166,32 +181,24 @@ class Graph:
 
 
 def path_graph(n: int) -> Graph:
-    if n < 2 or n > len(_LETTERS):
-        raise ValueError(f"path needs 2..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), [(v[i], v[i + 1]) for i in range(n - 1)])
+    v = _vertex_names(n, "path", 2)
+    return Graph(v, [(v[i], v[i + 1]) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3 or n > len(_LETTERS):
-        raise ValueError(f"cycle needs 3..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), [(v[i], v[(i + 1) % n]) for i in range(n)])
+    v = _vertex_names(n, "cycle", 3)
+    return Graph(v, [(v[i], v[(i + 1) % n]) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 2 or n > len(_LETTERS):
-        raise ValueError(f"complete graph needs 2..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), list(combinations(v, 2)))
+    v = _vertex_names(n, "complete graph", 2)
+    return Graph(v, list(combinations(v, 2)))
 
 
 def star_graph(n: int) -> Graph:
-    """K_{1,n-1}: vertex a joined to each of the other n-1."""
-    if n < 2 or n > len(_LETTERS):
-        raise ValueError(f"star needs 2..{len(_LETTERS)} vertices, got {n}")
-    v = _LETTERS[:n]
-    return Graph(list(v), [(v[0], leaf) for leaf in v[1:]])
+    """K_{1,n-1}: the first vertex joined to each of the other n-1."""
+    v = _vertex_names(n, "star", 2)
+    return Graph(v, [(v[0], leaf) for leaf in v[1:]])
 
 
 class LabeledGraph:

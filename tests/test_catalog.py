@@ -74,6 +74,18 @@ def test_family_shapes():
     assert star_graph(5).degree("a") == 4
 
 
+def test_family_names_beyond_26_letters():
+    # single letters up to 26, then fixed-width strings in creation order
+    assert path_graph(26).vertices[-1] == "z"
+    path = path_graph(48)
+    assert path.vertices[:2] == ("aa", "ab") and path.vertices[-1] == "bv"
+    assert path.edges == tuple(zip(path.vertices, path.vertices[1:]))
+    assert cycle_graph(27).vertices[-1] == "ba"
+    assert star_graph(40).degree("aa") == 39
+    assert len(complete_graph(30).edges) == 30 * 29 // 2
+    assert len(path_graph(26**2 + 1).vertices[0]) == 3
+
+
 @pytest.mark.parametrize("family,bad", [
     (path_graph, 1),
     (cycle_graph, 2),

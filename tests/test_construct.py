@@ -1,5 +1,7 @@
 """Constructive labelers: arbitrary graphs, complete graphs, restriction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from iasi import (
     cycle_graph,
     detect_ap,
     distinct_sum_sequence,
+    enumerate_connected_graphs,
     path_graph,
     predicted_edge_cardinality,
     restrict_labeling,
@@ -51,11 +54,36 @@ def test_params_validation():
         ConstructionParams(label_sizes=(3, 2))
 
 
+def greedy_reference(count):
+    """Brute force: the next term is the least integer keeping every pair sum distinct."""
+    terms = []
+    candidate = 1
+    while len(terms) < count:
+        trial = terms + [candidate]
+        sums = [a + b for i, a in enumerate(trial) for b in trial[i + 1:]]
+        if len(sums) == len(set(sums)):
+            terms = trial
+        candidate += 1
+    return terms
+
+
 def test_distinct_sum_sequence_has_distinct_pair_sums():
     terms = distinct_sum_sequence(20)
     sums = [terms[i] + terms[j] for i in range(20) for j in range(i + 1, 20)]
     assert len(sums) == len(set(sums))
     assert terms[:6] == [1, 2, 3, 5, 8, 13]
+    # up to 20 terms the sequence is the greedy one the catalog bytes depend on
+    assert terms == greedy_reference(20)
+
+
+def test_distinct_sum_sequence_every_count_up_to_300():
+    # covers the switch from greedy (<= 20 terms) to Erdos-Turan (> 20)
+    for count in range(301):
+        terms = distinct_sum_sequence(count)
+        assert len(terms) == count
+        assert all(a < b for a, b in zip(terms, terms[1:])), count
+        sums = {a + b for i, a in enumerate(terms) for b in terms[i + 1:]}
+        assert len(sums) == count * (count - 1) // 2, count
 
 
 # ------------------------------------------------------- construct_arbitrary
@@ -196,6 +224,84 @@ def test_edge_cardinalities_match_prediction():
             assert len(label) == predicted_edge_cardinality(m, n, k)
 
 
+@st.composite
+def deep_graphs(draw):
+    """A path or a random recursive tree on 2..200 vertices."""
+    n = draw(st.integers(2, 200))
+    if draw(st.booleans()):
+        return path_graph(n)
+    names = [f"t{i:03d}" for i in range(n)]
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    return Graph(names, [(names[p], names[i]) for i, p in enumerate(parents, 1)])
+
+
+@given(
+    deep_graphs(),
+    st.sampled_from(["fixed", "random", "maximal"]),
+    st.tuples(st.integers(3, 6), st.integers(3, 6)).map(sorted).map(tuple),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_automatic_offsets_always_succeed(graph, policy, size_range, seed):
+    """The docstring contract: no LabelOverflowError, and every check passes."""
+    result = construct_arbitrary(
+        graph,
+        ConstructionParams(multiplier_policy=policy, seed=seed, label_size_range=size_range),
+    )
+    lg = result.labeled_graph
+    assert lg.graph == graph
+    assert_arithmetic(lg)
+    assert check_multiplier_condition(lg).ok
+    assert check_gcd_invariant(lg).ok
+
+
+@pytest.mark.parametrize("offsets", [None, tuple(range(48))], ids=["automatic", "explicit"])
+def test_deep_path_caps_multipliers(offsets):
+    result = construct_arbitrary(
+        path_graph(48),
+        ConstructionParams(
+            multiplier_policy="maximal", label_size_range=(3, 6), start_offsets=offsets
+        ),
+    )
+    capped = result.diagnostics["capped"]
+    assert capped
+    assert_arithmetic(result.labeled_graph)
+    assert check_multiplier_condition(result.labeled_graph).ok
+    # a capped vertex keeps its parent's difference, k = 1
+    order = result.diagnostics["traversal"]
+    for v in capped:
+        parent = order[order.index(v) - 1]
+        assert result.differences[v] == result.differences[parent]
+
+
+def test_catalog_graphs_never_hit_the_cap():
+    for graph in enumerate_connected_graphs(5):
+        for policy in ("fixed", "random", "maximal"):
+            result = construct_arbitrary(
+                graph, ConstructionParams(multiplier_policy=policy, seed=0)
+            )
+            assert result.diagnostics["capped"] == (), (graph, policy)
+
+
+def test_capped_multiplier_leaves_rng_draws_alone():
+    # replay the documented draws on a path: sizes in traversal order, then one
+    # multiplier per later vertex; a capped vertex keeps its parent's difference
+    # and every other vertex gets exactly the drawn multiple
+    params = ConstructionParams(multiplier_policy="random", seed=4, label_size_range=(3, 6))
+    result = construct_arbitrary(path_graph(60), params)
+    order = result.diagnostics["traversal"]
+    capped = set(result.diagnostics["capped"])
+    assert capped
+    rng = random.Random(params.seed)
+    sizes = [rng.randint(3, 6) for _ in order]
+    assert sizes == [result.sizes[v] for v in order]
+    for i in range(1, len(order)):
+        k = rng.randint(1, sizes[i - 1])
+        parent_d = result.differences[order[i - 1]]
+        expected = parent_d if order[i] in capped else k * parent_d
+        assert result.differences[order[i]] == expected
+
+
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=25, deadline=None)
 def test_any_seed_constructs_arithmetic(seed):
@@ -233,6 +339,13 @@ def test_complete_part_validation():
         construct_complete(4, (3, 2), d=1, k=1)
     with pytest.raises(ValueError):
         construct_complete(1, (1, 0), d=1, k=1)
+
+
+def test_complete_beyond_26_vertices():
+    lg = construct_complete(40, (20, 20), d=1, k=3, sizes=3)
+    assert len(lg.graph.vertices) == 40
+    assert_arithmetic(lg)
+    assert check_multiplier_condition(lg).ok
 
 
 def test_complete_single_band():

@@ -15,6 +15,7 @@ from iasi import (
     export_dot,
     load_document,
     load_graph,
+    path_graph,
     save_document,
 )
 from iasi import catalog
@@ -217,11 +218,27 @@ def test_cli_construct_then_verify(tmp_path, capsys):
     )
     assert code == 0
     assert payload["is_iasi"] and payload["arithmetic"]
+    assert payload["fallback"] is False and payload["capped"] == 0
 
     doc = json.loads(open(out).read())
     assert doc["metadata"]["seed"] == 5
     assert doc["metadata"]["params"]["policy"] == "fixed"
 
+    code, payload, _ = run_cli(capsys, "verify", "--input", out)
+    assert code == 0 and payload["is_iasi"]
+
+
+def test_cli_construct_reports_capped_multipliers(tmp_path, capsys):
+    # a deep path under "maximal" outgrows 64 bits unless multipliers are capped
+    src = bare_graph_doc(tmp_path, path_graph(48))
+    out = str(tmp_path / "path.json")
+    code, payload, _ = run_cli(
+        capsys, "construct", "--input", src, "--output", out,
+        "--sizes", "3,6", "--policy", "maximal",
+    )
+    assert code == 0
+    assert payload["is_iasi"] and payload["arithmetic"]
+    assert payload["capped"] > 0
     code, payload, _ = run_cli(capsys, "verify", "--input", out)
     assert code == 0 and payload["is_iasi"]
 
