@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DisconnectedGraphError, NotArithmeticError
+from .errors import DisconnectedGraphError, LabelCollisionError, NotArithmeticError
 from .graphs import LabeledGraph, summarize_indices
 
 __all__ = [
@@ -83,6 +83,14 @@ def verify_iasi(lg: LabeledGraph) -> InjectivityReport:
     labels are scanned once per labeled graph; later calls read the report.
     """
     return lg._fact("injectivity", _verify)
+
+
+def _verified(lg: LabeledGraph) -> LabeledGraph:
+    """``lg`` itself when it is an IASI; otherwise LabelCollisionError with the witness."""
+    report = verify_iasi(lg)
+    if not report.is_iasi:
+        raise LabelCollisionError(report.collision)
+    return lg
 
 
 def _verify(lg: LabeledGraph) -> InjectivityReport:

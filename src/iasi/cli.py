@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 
 from . import __version__
 from .catalog import MAX_CATALOG_N, MIN_CATALOG_N, run_catalog_checks
-from .classify import classify_arithmetic, verify_iasi
-from .construct import ConstructionParams, construct_arbitrary
+from .classify import Collision, classify_arithmetic, verify_iasi
+from .construct import _POLICIES, ConstructionParams, construct_arbitrary
 from .errors import IasiError, LabelCollisionError
 from .io import export_dot, load_document, load_graph, save_document
 from .transforms import (
@@ -29,9 +30,36 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+_DEFAULT_POLICY = ConstructionParams.multiplier_policy
+
+# op -> (transform, the args attribute it takes or None, that option's text)
+_TRANSFORMS = {
+    "contract": (contract_edge, "edge", "--edge u,v"),
+    "reduce": (reduce_topologically, "vertex", "--vertex"),
+    "subdivide": (subdivide, "edge", "--edge u,v"),
+    "line": (to_line_graph, None, None),
+    "total": (to_total_graph, None, None),
+}
+
+
+def _ops_taking(attr: str) -> str:
+    return "/".join(op for op, (_, taken, _) in _TRANSFORMS.items() if taken == attr)
+
 
 def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True))
+
+
+def _report_json(value):
+    """A report as JSON-ready values: a collision through its own serializer,
+    other reports field by field, and edge-keyed dicts keyed "u-v"."""
+    if isinstance(value, Collision):
+        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: _report_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {f"{u}-{v}": _report_json(x) for (u, v), x in sorted(value.items())}
+    return value
 
 
 def _parse_sizes(text: str) -> tuple[int, int]:
@@ -66,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="graph document (labels ignored)")
     p.add_argument("--d0", type=int, default=1, help="base common difference")
     p.add_argument("--sizes", type=_parse_sizes, default=(3, 3), help="label size or lo,hi range")
-    p.add_argument("--policy", choices=("fixed", "random", "maximal"), default="fixed")
+    p.add_argument("--policy", choices=_POLICIES, default=_DEFAULT_POLICY)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="labeled document to write")
 
@@ -82,9 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("transform", help="apply a label-preserving transform")
-    p.add_argument("--op", required=True, choices=("contract", "reduce", "subdivide", "line", "total"))
-    p.add_argument("--edge", type=_parse_edge, help="edge as u,v (contract/subdivide)")
-    p.add_argument("--vertex", help="vertex to reduce away (reduce)")
+    p.add_argument("--op", required=True, choices=tuple(_TRANSFORMS))
+    p.add_argument("--edge", type=_parse_edge, help=f"edge as u,v ({_ops_taking('edge')})")
+    p.add_argument("--vertex", help=f"vertex to reduce away ({_ops_taking('vertex')})")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
@@ -93,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy",
         action="append",
-        choices=("fixed", "random", "maximal"),
-        help="construction policy; repeat for several (default: fixed)",
+        choices=_POLICIES,
+        help=f"construction policy; repeat for several (default: {_DEFAULT_POLICY})",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--records", help="JSONL file for per-check records")
@@ -144,66 +172,26 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lg = load_document(args.input)
-    report = verify_iasi(lg)
-    _emit(
-        {
-            "command": "verify",
-            "is_iasi": report.is_iasi,
-            "collision": report.collision.to_dict() if report.collision else None,
-        }
-    )
+    report = verify_iasi(load_document(args.input))
+    _emit({"command": "verify", **_report_json(report)})
     return EXIT_PASS if report.is_iasi else EXIT_FAIL
 
 
 def _cmd_classify(args) -> int:
-    lg = load_document(args.input)
-    report = classify_arithmetic(lg, strict_semi=args.strict_semi)
-    _emit(
-        {
-            "command": "classify",
-            "is_iasi": report.is_iasi,
-            "collision": report.collision.to_dict() if report.collision else None,
-            "uniform_k": report.uniform_k,
-            "vertex_uniform_l": report.vertex_uniform_l,
-            "vertex_arithmetic": report.vertex_arithmetic,
-            "edge_arithmetic": report.edge_arithmetic,
-            "arithmetic": report.arithmetic,
-            "semi_arithmetic": report.semi_arithmetic,
-            "sub_minimal_vertices": list(report.sub_minimal_vertices),
-            "per_edge": {
-                f"{u}-{v}": {
-                    "weak": cls.weak,
-                    "strong": cls.strong,
-                    "indexing_number": cls.indexing_number,
-                }
-                for (u, v), cls in sorted(report.per_edge.items())
-            },
-        }
-    )
+    report = classify_arithmetic(load_document(args.input), strict_semi=args.strict_semi)
+    _emit({"command": "classify", **_report_json(report)})
     return EXIT_PASS if report.is_iasi else EXIT_FAIL
 
 
 def _cmd_transform(args) -> int:
     lg = load_document(args.input)
-    needs_edge = args.op in ("contract", "subdivide")
-    if needs_edge and args.edge is None:
-        print(f"error: --op {args.op} requires --edge u,v", file=sys.stderr)
-        return EXIT_USAGE
-    if args.op == "reduce" and args.vertex is None:
-        print("error: --op reduce requires --vertex", file=sys.stderr)
+    transform, attr, flag = _TRANSFORMS[args.op]
+    extra = () if attr is None else (getattr(args, attr),)
+    if None in extra:
+        print(f"error: --op {args.op} requires {flag}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.op == "contract":
-            out = contract_edge(lg, args.edge)
-        elif args.op == "subdivide":
-            out = subdivide(lg, args.edge)
-        elif args.op == "reduce":
-            out = reduce_topologically(lg, args.vertex)
-        elif args.op == "line":
-            out = to_line_graph(lg)
-        else:
-            out = to_total_graph(lg)
+        out = transform(lg, *extra)
     except LabelCollisionError as exc:
         _emit(
             {
@@ -223,7 +211,7 @@ def _cmd_catalog(args) -> int:
     if args.max_n >= 7 and not args.allow_large:
         print("error: --max-n 7 enumerates 1.87M graphs; pass --allow-large", file=sys.stderr)
         return EXIT_USAGE
-    policies = tuple(args.policy) if args.policy else ("fixed",)
+    policies = tuple(args.policy or (_DEFAULT_POLICY,))
     summary = run_catalog_checks(
         args.max_n, policies=policies, seed=args.seed, records_path=args.records
     )

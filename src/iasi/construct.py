@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .classify import verify_iasi
-from .errors import LabelCollisionError, SubgraphError
+from .classify import MIN_ARITHMETIC_LENGTH, _verified
+from .errors import SubgraphError
 from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
 from .sets import U64_MAX, APSet
 
@@ -105,18 +105,21 @@ class ConstructionParams:
         if not isinstance(self.base_difference, int) or self.base_difference < 1:
             raise ValueError(f"base difference must be >= 1, got {self.base_difference!r}")
         lo, hi = self.label_size_range
-        if lo < 3 or hi < lo:
-            raise ValueError(f"label size range must satisfy 3 <= lo <= hi, got ({lo}, {hi})")
+        if lo < MIN_ARITHMETIC_LENGTH or hi < lo:
+            raise ValueError(
+                f"label size range must satisfy {MIN_ARITHMETIC_LENGTH} <= lo <= hi, "
+                f"got ({lo}, {hi})"
+            )
         if self.multiplier_policy not in _POLICIES:
             raise ValueError(
                 f"unknown multiplier policy {self.multiplier_policy!r}; choose from {_POLICIES}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= 2**64 - 1:
+        if not isinstance(self.seed, int) or not 0 <= self.seed <= U64_MAX:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.label_sizes is not None:
             object.__setattr__(self, "label_sizes", tuple(self.label_sizes))
-            if any(s < 3 for s in self.label_sizes):
-                raise ValueError("explicit label sizes must all be >= 3")
+            if any(s < MIN_ARITHMETIC_LENGTH for s in self.label_sizes):
+                raise ValueError(f"explicit label sizes must all be >= {MIN_ARITHMETIC_LENGTH}")
         if self.start_offsets is not None:
             offsets = tuple(self.start_offsets)
             object.__setattr__(self, "start_offsets", offsets)
@@ -264,9 +267,7 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     lg = LabeledGraph(graph, labels)
 
     if params.start_offsets is not None:
-        report = verify_iasi(lg)
-        if not report.is_iasi:
-            raise LabelCollisionError(report.collision)
+        _verified(lg)
 
     return ConstructionResult(
         labeled_graph=lg,
@@ -301,8 +302,8 @@ def construct_complete(
         sizes = tuple(sizes)
         if len(sizes) != n:
             raise ValueError(f"expected {n} label sizes, got {len(sizes)}")
-    if any(s < 3 for s in sizes):
-        raise ValueError("label sizes must all be >= 3")
+    if any(s < MIN_ARITHMETIC_LENGTH for s in sizes):
+        raise ValueError(f"label sizes must all be >= {MIN_ARITHMETIC_LENGTH}")
     part_one_min = min(sizes[:r])
     if not isinstance(k, int) or not 1 <= k <= part_one_min:
         raise ValueError(

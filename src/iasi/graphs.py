@@ -32,7 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GraphViolation:
-    kind: str  # self-loop | duplicate-edge | duplicate-vertex | isolated-vertex | dangling-endpoint
+    # empty-graph | self-loop | duplicate-edge | duplicate-vertex |
+    # isolated-vertex | dangling-endpoint
+    kind: str
     element: tuple | str
 
     def __str__(self):
@@ -84,12 +86,14 @@ def _bfs_components(vertices, neighbors) -> Iterator[list]:
 def find_graph_violations(vertices, edges) -> list[GraphViolation]:
     """Collect every simple-graph violation in the raw data.
 
-    Checks: duplicate vertex ids, self-loops, duplicate edges (in either
-    orientation), endpoints naming no vertex, and vertices left without any
-    valid incident edge.
+    Checks: no vertices at all, duplicate vertex ids, self-loops, duplicate
+    edges (in either orientation), endpoints naming no vertex, and vertices
+    left without any valid incident edge.
     """
     violations = []
     vertices = list(vertices)
+    if not vertices:
+        violations.append(GraphViolation("empty-graph", ()))
     vset = set(vertices)
     if len(vset) != len(vertices):
         seen = set()

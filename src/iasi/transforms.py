@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .classify import classify_arithmetic, verify_iasi
-from .errors import LabelCollisionError, NotArithmeticError
+from .classify import _verified, classify_arithmetic
+from .errors import NotArithmeticError
 from .graphs import Graph, LabeledGraph, _canonical_edge
 
 __all__ = [
@@ -42,13 +42,6 @@ def _fresh_name(base: str, taken) -> str:
     while name in taken:
         name += "'"
     return name
-
-
-def _verified(lg: LabeledGraph) -> LabeledGraph:
-    report = verify_iasi(lg)
-    if not report.is_iasi:
-        raise LabelCollisionError(report.collision)
-    return lg
 
 
 def _edge_points(lg: LabeledGraph, taken) -> tuple[dict, list]:

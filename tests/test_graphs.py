@@ -45,6 +45,12 @@ def test_duplicate_vertex_reported():
     assert "duplicate-vertex" in kinds(vs)
 
 
+def test_empty_graph_rejected():
+    assert kinds(find_graph_violations([], [])) == {"empty-graph"}
+    with pytest.raises(GraphValidationError, match="empty-graph"):
+        Graph([], [])
+
+
 def test_graph_constructor_raises_with_violations():
     with pytest.raises(GraphValidationError) as exc:
         Graph(["a", "b", "c"], [("a", "b")])

@@ -331,6 +331,75 @@ def test_cli_transform_collision_is_exit_one(tmp_path, capsys):
     assert payload["collision"]["kind"] in ("vertex", "edge")
 
 
+# An arithmetic labeling whose total graph collides, and a semi-arithmetic
+# labeling with a vertex collision that the two readings classify apart.
+GOLDEN_DOCS = {
+    "arithmetic": {
+        "graph": {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"]]},
+        "labels": {"a": [5, 6, 7], "b": [10, 11, 12], "c": [15, 16, 17]},
+    },
+    "colliding": {
+        "graph": {
+            "vertices": ["a", "b", "c", "d"],
+            "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+        },
+        "labels": {"a": [0, 1, 2], "b": [0, 4, 8], "c": [0, 2, 4], "d": [0, 1, 2]},
+    },
+}
+
+_ARITHMETIC_CLASSES = (
+    '{"arithmetic": true, "collision": null, "command": "classify", '
+    '"edge_arithmetic": true, "is_iasi": true, "per_edge": {'
+    '"a-b": {"indexing_number": 5, "strong": false, "weak": false}, '
+    '"a-c": {"indexing_number": 5, "strong": false, "weak": false}}, '
+    '"semi_arithmetic": false, "sub_minimal_vertices": [], "uniform_k": 5, '
+    '"vertex_arithmetic": true, "vertex_uniform_l": 3}\n'
+)
+_VERTEX_COLLISION = '{"first": "a", "kind": "vertex", "label": [0, 1, 2], "second": "d"}'
+
+
+def _colliding_classes(semi):
+    return (
+        f'{{"arithmetic": false, "collision": {_VERTEX_COLLISION}, "command": "classify", '
+        '"edge_arithmetic": false, "is_iasi": false, "per_edge": {'
+        '"a-b": {"indexing_number": 9, "strong": true, "weak": false}, '
+        '"b-c": {"indexing_number": 7, "strong": false, "weak": false}, '
+        '"c-d": {"indexing_number": 7, "strong": false, "weak": false}}, '
+        f'"semi_arithmetic": {semi}, "sub_minimal_vertices": [], "uniform_k": null, '
+        '"vertex_arithmetic": true, "vertex_uniform_l": 3}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "doc,argv,code,out,err",
+    [
+        ("arithmetic", ["verify"], 0,
+         '{"collision": null, "command": "verify", "is_iasi": true}\n', ""),
+        ("arithmetic", ["classify"], 0, _ARITHMETIC_CLASSES, ""),
+        ("arithmetic", ["classify", "--strict-semi"], 0, _ARITHMETIC_CLASSES, ""),
+        ("arithmetic", ["transform", "--op", "total"], 1,
+         '{"collision": {"first": ["(a,b)", "b"], "kind": "edge", '
+         '"label": [25, 26, 27, 28, 29, 30, 31], "second": ["(a,c)", "a"]}, '
+         '"command": "transform", "error": "collision", "op": "total"}\n', ""),
+        ("arithmetic", ["transform", "--op", "contract"], 2, "",
+         "error: --op contract requires --edge u,v\n"),
+        ("arithmetic", ["transform", "--op", "reduce"], 2, "",
+         "error: --op reduce requires --vertex\n"),
+        ("colliding", ["verify"], 1,
+         f'{{"collision": {_VERTEX_COLLISION}, "command": "verify", "is_iasi": false}}\n', ""),
+        ("colliding", ["classify"], 1, _colliding_classes("true"), ""),
+        ("colliding", ["classify", "--strict-semi"], 1, _colliding_classes("false"), ""),
+    ],
+)
+def test_cli_golden_output(tmp_path, capsys, doc, argv, code, out, err):
+    path = write_doc(tmp_path, GOLDEN_DOCS[doc])
+    if argv[0] == "transform":
+        argv = [*argv, "--output", str(tmp_path / "out.json")]
+    assert main([*argv, "--input", path]) == code
+    assert capsys.readouterr() == (out, err)
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_cli_catalog_flags_probe(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     code, payload, _ = run_cli(
@@ -401,6 +470,15 @@ def test_cli_directory_path_is_usage_error(tmp_path, capsys, role):
         capsys, "construct", "--input", paths["input"], "--output", paths["output"]
     )
     assert code == 2 and "error" in err
+
+
+def test_cli_construct_rejects_empty_graph(tmp_path, capsys):
+    src = write_doc(tmp_path, {"graph": {"vertices": [], "edges": []}})
+    out = tmp_path / "out.json"
+    code, payload, err = run_cli(capsys, "construct", "--input", src, "--output", str(out))
+    assert code == 2 and payload is None
+    assert err == "error: invalid graph: empty-graph at ()\n"
+    assert not out.exists()
 
 
 def test_cli_requires_subcommand(capsys):

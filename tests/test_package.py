@@ -38,3 +38,28 @@ def test_package_exports_are_listed_in_each_submodule_all():
             continue
         unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert unlisted == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(Path(iasi.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)
+        }
+        unused += [f"{path.name}: {name}" for name in imported if name not in used | exported]
+    assert unused == []
