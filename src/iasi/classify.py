@@ -39,6 +39,13 @@ __all__ = [
 # of one or two elements are degenerate ("sub-minimal") cases.
 MIN_ARITHMETIC_LENGTH = 3
 
+_PLURALS = {"vertex": "vertices", "edge": "edges"}
+
+
+def _braced(label) -> str:
+    """A label as a brace-enclosed list of its elements in ascending order."""
+    return "{%s}" % ", ".join(str(e) for e in sorted(label))
+
 
 @dataclass(frozen=True)
 class Collision:
@@ -50,7 +57,10 @@ class Collision:
     label: tuple
 
     def __str__(self):
-        return f"{self.kind}s {self.first!r} and {self.second!r} share label {set(self.label)}"
+        return (
+            f"{_PLURALS[self.kind]} {self.first!r} and {self.second!r} "
+            f"share label {_braced(self.label)}"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -235,7 +245,7 @@ def _indices(names, indices: dict, labels: dict, kind: str) -> list:
     if None in out:
         x = names[out.index(None)]
         raise NotArithmeticError(
-            f"{kind} {x!r} has no deterministic index: label {set(labels[x])} is "
+            f"{kind} {x!r} has no deterministic index: label {_braced(labels[x])} is "
             "not a progression of two or more elements"
         )
     return out

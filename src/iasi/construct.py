@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .classify import MIN_ARITHMETIC_LENGTH, _verified
+from .classify import MIN_ARITHMETIC_LENGTH
 from .errors import SubgraphError
 from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
 from .sets import U64_MAX, APSet
@@ -82,51 +82,44 @@ def _next_prime(n: int) -> int:
     return n
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Knobs for construct_arbitrary.
+    """Knobs for construct_arbitrary; every number must be an int, not a bool.
 
     multiplier_policy picks the per-edge difference ratio k relative to the
     visited neighbor: "fixed" pins k=1 (uniform differences), "random" draws
     uniformly from [1, bound], "maximal" takes the bound itself; the bound
     is the smallest label cardinality among same-difference visited
-    neighbors. start_offsets / label_sizes, when given, are consumed in
-    traversal order and must cover every vertex.
+    neighbors. Label sizes are drawn from label_size_range.
     """
 
     base_difference: int = 1
     label_size_range: tuple[int, int] = (3, 3)
     multiplier_policy: str = "fixed"
     seed: int = 0
-    start_offsets: tuple | None = None
-    label_sizes: tuple | None = None
 
     def __post_init__(self):
-        if not isinstance(self.base_difference, int) or self.base_difference < 1:
-            raise ValueError(f"base difference must be >= 1, got {self.base_difference!r}")
-        lo, hi = self.label_size_range
-        if lo < MIN_ARITHMETIC_LENGTH or hi < lo:
+        if not _is_int(self.base_difference) or self.base_difference < 1:
             raise ValueError(
-                f"label size range must satisfy {MIN_ARITHMETIC_LENGTH} <= lo <= hi, "
-                f"got ({lo}, {hi})"
+                f"base_difference must be an integer >= 1, got {self.base_difference!r}"
+            )
+        lo, hi = self.label_size_range
+        if not (_is_int(lo) and _is_int(hi) and MIN_ARITHMETIC_LENGTH <= lo <= hi):
+            raise ValueError(
+                f"label_size_range must be integers with {MIN_ARITHMETIC_LENGTH} <= lo <= hi, "
+                f"got {self.label_size_range!r}"
             )
         if self.multiplier_policy not in _POLICIES:
             raise ValueError(
                 f"unknown multiplier policy {self.multiplier_policy!r}; choose from {_POLICIES}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= U64_MAX:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.label_sizes is not None:
-            object.__setattr__(self, "label_sizes", tuple(self.label_sizes))
-            if any(s < MIN_ARITHMETIC_LENGTH for s in self.label_sizes):
-                raise ValueError(f"explicit label sizes must all be >= {MIN_ARITHMETIC_LENGTH}")
-        if self.start_offsets is not None:
-            offsets = tuple(self.start_offsets)
-            object.__setattr__(self, "start_offsets", offsets)
-            if any(not isinstance(o, int) or o < 0 for o in offsets):
-                raise ValueError("explicit offsets must be non-negative integers")
-            if len(set(offsets)) != len(offsets):
-                raise ValueError("explicit offsets must be pairwise distinct")
+        if not _is_int(self.seed) or not 0 <= self.seed <= U64_MAX:
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -150,35 +143,30 @@ class ConstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _progression_labels(order, differences: dict, sizes: dict, offsets=None):
-    """Vertex v's label: ``sizes[v]`` terms with difference ``differences[v]``
-    from ``offsets[v]``; returns (offsets, labels).
+def _progression_labels(order, differences: dict, sizes: dict):
+    """Vertex v's label: ``sizes[v]`` terms with difference ``differences[v]``;
+    returns (offsets, labels).
 
-    Without explicit offsets, the i-th vertex of ``order`` starts at the i-th
-    distinct-sum term times a stride wider than twice the largest label span,
-    which keeps every vertex label and every edge label distinct. This is
-    the one automatic layout every constructor uses.
+    The i-th vertex of ``order`` starts at the i-th distinct-sum term times a
+    stride wider than twice the largest label span, which keeps every vertex
+    label and every edge label distinct. This is the one layout every
+    constructor uses.
     """
-    if offsets is None:
-        stride = 2 * max((sizes[v] - 1) * differences[v] for v in order) + 1
-        offsets = {v: f * stride for v, f in zip(order, distinct_sum_sequence(len(order)))}
+    stride = 2 * max((sizes[v] - 1) * differences[v] for v in order) + 1
+    offsets = {v: f * stride for v, f in zip(order, distinct_sum_sequence(len(order)))}
     labels = {v: APSet(offsets[v], differences[v], sizes[v]).expand() for v in order}
     return offsets, labels
 
 
-def _difference_budget(count: int, max_size: int, offsets) -> int:
+def _difference_budget(count: int, max_size: int) -> int:
     """The largest common difference that keeps every label element <= U64_MAX.
 
-    With automatic offsets every element of a vertex or edge label lies
-    below (2F + 1) * stride, where F is the largest of the ``count``
-    distinct-sum terms and stride = 2 * max span + 1, a span being at most
-    (max_size - 1) * difference. With explicit offsets every element is at
-    most 2 * max(offsets) + 2 * (max_size - 1) * difference.
+    Every element of a vertex or edge label lies below (2F + 1) * stride,
+    where F is the largest of the ``count`` distinct-sum terms and
+    stride = 2 * max span + 1, a span being at most (max_size - 1) * difference.
     """
-    if offsets is None:
-        widest_stride = (U64_MAX + 1) // (2 * distinct_sum_sequence(count)[-1] + 1)
-        return (widest_stride - 1) // 2 // (max_size - 1)
-    return (U64_MAX - 2 * max(offsets)) // (2 * (max_size - 1))
+    widest_stride = (U64_MAX + 1) // (2 * distinct_sum_sequence(count)[-1] + 1)
+    return (widest_stride - 1) // 2 // (max_size - 1)
 
 
 def _pick_multiplier(policy: str, rng: random.Random, bound: int) -> int:
@@ -206,27 +194,18 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     ``diagnostics["capped"]``. The rng is drawn from as if nothing were
     capped, so a labeling that hits no cap is the same as without one.
 
-    With automatic offsets and a base difference within the budget the
-    result is always an arithmetic set-indexer. Explicit offsets are
-    honored verbatim and can collide; a collision raises
-    LabelCollisionError instead of returning a broken labeling.
+    With a base difference within the budget the result is always an
+    arithmetic set-indexer. The only errors are the input checks of Graph
+    and ConstructionParams, and LabelOverflowError for a base difference
+    beyond the budget. ``offsets`` in the result reports the layout used.
     """
     # breadth-first from the smallest vertex of each component
     order = [v for comp in _bfs_components(graph.vertices, graph.neighbors) for v in comp]
     rng = random.Random(params.seed)
 
-    if params.label_sizes is not None:
-        if len(params.label_sizes) != len(order):
-            raise ValueError(
-                f"expected {len(order)} label sizes, got {len(params.label_sizes)}"
-            )
-        sizes = {v: params.label_sizes[i] for i, v in enumerate(order)}
-    else:
-        lo, hi = params.label_size_range
-        sizes = {v: (lo if lo == hi else rng.randint(lo, hi)) for v in order}
-    if params.start_offsets is not None and len(params.start_offsets) != len(order):
-        raise ValueError(f"expected {len(order)} offsets, got {len(params.start_offsets)}")
-    budget = _difference_budget(len(order), max(sizes.values()), params.start_offsets)
+    lo, hi = params.label_size_range
+    sizes = {v: (lo if lo == hi else rng.randint(lo, hi)) for v in order}
+    budget = _difference_budget(len(order), max(sizes.values()))
 
     differences: dict = {}
     capped = []
@@ -260,17 +239,9 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
         differences = {v: params.base_difference for v in order}
         capped = []
 
-    offsets = None
-    if params.start_offsets is not None:
-        offsets = dict(zip(order, params.start_offsets))
-    offsets, labels = _progression_labels(order, differences, sizes, offsets)
-    lg = LabeledGraph(graph, labels)
-
-    if params.start_offsets is not None:
-        _verified(lg)
-
+    offsets, labels = _progression_labels(order, differences, sizes)
     return ConstructionResult(
-        labeled_graph=lg,
+        labeled_graph=LabeledGraph(graph, labels),
         differences=differences,
         sizes=sizes,
         offsets=offsets,
@@ -294,20 +265,21 @@ def construct_complete(
     r, l = part_sizes
     if r < 1 or l < 0 or r + l != n:
         raise ValueError(f"part sizes {part_sizes} do not split {n} with nonempty part one")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"difference must be >= 1, got {d!r}")
+    if not _is_int(d) or d < 1:
+        raise ValueError(f"difference d must be an integer >= 1, got {d!r}")
     if isinstance(sizes, int):
         sizes = (sizes,) * n
     else:
         sizes = tuple(sizes)
         if len(sizes) != n:
             raise ValueError(f"expected {n} label sizes, got {len(sizes)}")
-    if any(s < MIN_ARITHMETIC_LENGTH for s in sizes):
-        raise ValueError(f"label sizes must all be >= {MIN_ARITHMETIC_LENGTH}")
+    if not all(_is_int(s) and s >= MIN_ARITHMETIC_LENGTH for s in sizes):
+        raise ValueError(f"label sizes must all be integers >= {MIN_ARITHMETIC_LENGTH}")
     part_one_min = min(sizes[:r])
-    if not isinstance(k, int) or not 1 <= k <= part_one_min:
+    if not _is_int(k) or not 1 <= k <= part_one_min:
         raise ValueError(
-            f"multiplier k={k!r} outside [1, {part_one_min}] (smallest part-one label size)"
+            f"multiplier k must be an integer in [1, {part_one_min}] "
+            f"(smallest part-one label size), got {k!r}"
         )
 
     vertices = graph.vertices

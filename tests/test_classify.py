@@ -64,6 +64,19 @@ def test_verify_edge_collision_witness():
     assert set(report.collision.label) == {0, 1, 2, 3}
 
 
+def test_failure_messages_pluralize_and_sort_labels():
+    vertex = classify_module.Collision("vertex", "a", "d", (1, 8, 15))
+    assert str(vertex) == "vertices 'a' and 'd' share label {1, 8, 15}"
+    edge = classify_module.Collision("edge", ("a", "b"), ("c", "d"), (30, 4, 17))
+    assert str(edge) == "edges ('a', 'b') and ('c', 'd') share label {4, 17, 30}"
+    with pytest.raises(NotArithmeticError) as exc:
+        check_multiplier_condition(p2({1, 8, 100}, {0, 2, 4}))
+    assert str(exc.value) == (
+        "vertex 'u' has no deterministic index: label {1, 8, 100} is "
+        "not a progression of two or more elements"
+    )
+
+
 # ----------------------------------------------------------- edge grading
 
 

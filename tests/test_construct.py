@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from iasi import (
     ConstructionParams,
     Graph,
-    LabelCollisionError,
     SubgraphError,
     check_gcd_invariant,
     check_multiplier_condition,
@@ -48,10 +47,18 @@ def test_params_validation():
         ConstructionParams(label_size_range=(5, 4))
     with pytest.raises(ValueError):
         ConstructionParams(multiplier_policy="biggest")
-    with pytest.raises(ValueError):
-        ConstructionParams(start_offsets=(3, 3))
-    with pytest.raises(ValueError):
-        ConstructionParams(label_sizes=(3, 2))
+    # a float or a bool is refused up front, naming the field, not deep in random
+    for field, value in [
+        ("label_size_range", (3.5, 4)),
+        ("label_size_range", (3.0, 3.0)),
+        ("label_size_range", (True, 4)),
+        ("base_difference", True),
+        ("base_difference", 2.0),
+        ("seed", True),
+        ("seed", 1.0),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ConstructionParams(**{field: value})
 
 
 def greedy_reference(count):
@@ -90,58 +97,27 @@ def test_distinct_sum_sequence_every_count_up_to_300():
 
 
 def test_single_edge_frozen_example():
-    g = Graph(["u", "v"], [("u", "v")])
-    result = construct_arbitrary(
-        g,
-        ConstructionParams(
-            base_difference=2,
-            label_sizes=(3, 4),
-            multiplier_policy="maximal",
-            start_offsets=(0, 1),
-        ),
-    )
-    lg = result.labeled_graph
-    assert tuple(lg.vertex_labels["u"]) == (0, 2, 4)
-    assert tuple(lg.vertex_labels["v"]) == (1, 7, 13, 19)
-    edge = lg.edge_labels[("u", "v")]
+    # differences 2 and 3 * 2, sizes 3 and 4; stride 2 * (3 * 6) + 1 = 37
+    lg = construct_complete(2, (1, 1), d=2, k=3, sizes=(3, 4))
+    assert tuple(lg.vertex_labels["a"]) == (37, 39, 41)
+    assert tuple(lg.vertex_labels["b"]) == (74, 80, 86, 92)
+    edge = lg.edge_labels[("a", "b")]
     assert detect_ap(edge).difference == 2
     assert len(edge) == 12 == predicted_edge_cardinality(3, 4, 3)
     assert_arithmetic(lg)
 
 
 def test_cycle_with_documented_offsets():
-    # traversal from a visits a, b, d, c; offsets land in that order
-    result = construct_arbitrary(
-        cycle_graph(4),
-        ConstructionParams(label_sizes=(3, 3, 3, 3), start_offsets=(0, 10, 20, 30)),
-    )
+    # traversal from a visits a, b, d, c; offsets grow in that order
+    result = construct_arbitrary(cycle_graph(4), ConstructionParams())
+    order = result.diagnostics["traversal"]
+    assert order == ("a", "b", "d", "c")
+    offsets = [result.offsets[v] for v in order]
+    assert offsets == sorted(set(offsets))
     lg = result.labeled_graph
-    labels = {v: tuple(s) for v, s in lg.vertex_labels.items()}
-    assert labels == {
-        "a": (0, 1, 2), "b": (10, 11, 12), "d": (20, 21, 22), "c": (30, 31, 32)
-    }
     assert_arithmetic(lg)
     for label in lg.edge_labels.values():
         assert detect_ap(label).difference == 1
-
-
-def test_explicit_offsets_can_collide():
-    # same offsets, permuted so two edge sums coincide: b+c == a+d == 30
-    with pytest.raises(LabelCollisionError) as exc:
-        construct_arbitrary(
-            cycle_graph(4),
-            ConstructionParams(label_sizes=(3, 3, 3, 3), start_offsets=(0, 10, 30, 20)),
-        )
-    assert exc.value.witness.kind == "edge"
-
-
-def test_offset_count_must_match():
-    with pytest.raises(ValueError):
-        construct_arbitrary(
-            path_graph(3), ConstructionParams(start_offsets=(0, 1))
-        )
-    with pytest.raises(ValueError):
-        construct_arbitrary(path_graph(3), ConstructionParams(label_sizes=(3, 3)))
 
 
 @pytest.mark.parametrize("policy", ["fixed", "random", "maximal"])
@@ -255,13 +231,9 @@ def test_automatic_offsets_always_succeed(graph, policy, size_range, seed):
     assert check_gcd_invariant(lg).ok
 
 
-@pytest.mark.parametrize("offsets", [None, tuple(range(48))], ids=["automatic", "explicit"])
-def test_deep_path_caps_multipliers(offsets):
+def test_deep_path_caps_multipliers():
     result = construct_arbitrary(
-        path_graph(48),
-        ConstructionParams(
-            multiplier_policy="maximal", label_size_range=(3, 6), start_offsets=offsets
-        ),
+        path_graph(48), ConstructionParams(multiplier_policy="maximal", label_size_range=(3, 6))
     )
     capped = result.diagnostics["capped"]
     assert capped
@@ -339,6 +311,14 @@ def test_complete_part_validation():
         construct_complete(4, (3, 2), d=1, k=1)
     with pytest.raises(ValueError):
         construct_complete(1, (1, 0), d=1, k=1)
+    with pytest.raises(ValueError, match="difference d"):
+        construct_complete(4, (2, 2), d=True, k=1)
+    with pytest.raises(ValueError, match="multiplier k"):
+        construct_complete(4, (2, 2), d=1, k=True)
+    with pytest.raises(ValueError, match="multiplier k"):
+        construct_complete(4, (2, 2), d=1, k=2.0)
+    with pytest.raises(ValueError, match="label sizes"):
+        construct_complete(4, (2, 2), d=1, k=1, sizes=(3, 3.0, 3, 3))
 
 
 def test_complete_beyond_26_vertices():

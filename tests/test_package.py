@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -63,3 +64,14 @@ def test_no_module_imports_a_name_it_never_uses():
         }
         unused += [f"{path.name}: {name}" for name in imported if name not in used | exported]
     assert unused == []
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(code, namespace)
+    shown = re.findall(r"^(\S.*?)\s+# (.+)$", code, re.M)
+    assert [want for _, want in shown] == ["IntegerSet({0, 1, 2, 3, 4, 5, 6})", "3"]
+    for expr, want in shown:
+        assert repr(eval(expr, namespace)) == want, expr
