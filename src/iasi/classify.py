@@ -5,8 +5,10 @@ are pairwise distinct and the induced edge labels are pairwise distinct. On
 top of that, edges are graded by cardinality (weak = the edge label is no
 bigger than its larger endpoint, strong = it reaches the product bound) and
 the labeling is graded by progression structure (vertex-/edge-/fully
-arithmetic). Classification never refuses a non-injective labeling; it just
-flags it.
+arithmetic, and semi-arithmetic in both readings: some edge label is not a
+progression, or none is). One report carries every grade and is computed
+once per labeled graph. Classification never refuses a non-injective
+labeling; it just flags it.
 """
 
 from __future__ import annotations
@@ -147,9 +149,10 @@ class ClassificationReport:
     """Everything the classifier can say about one labeling.
 
     ``arithmetic`` = all vertex labels are progressions of >= 3 elements and
-    all edge labels are progressions. ``semi_arithmetic`` keeps the vertex
-    half but loses the edge half: by default at least one edge label is not
-    a progression; under the strict reading none is.
+    all edge labels are progressions. The two semi-arithmetic readings keep
+    the vertex half but lose the edge half: ``semi_arithmetic`` when at
+    least one edge label is not a progression, ``strict_semi_arithmetic``
+    when none is. A singleton edge label counts as a progression.
 
     Non-injective labelings are still classified; ``is_iasi`` is the flag to
     check before trusting anything else.
@@ -164,6 +167,7 @@ class ClassificationReport:
     edge_arithmetic: bool
     arithmetic: bool
     semi_arithmetic: bool
+    strict_semi_arithmetic: bool
     sub_minimal_vertices: tuple
 
 
@@ -173,13 +177,12 @@ def _sub_minimal(lg: LabeledGraph) -> tuple:
     )
 
 
-def classify_arithmetic(lg: LabeledGraph, strict_semi: bool = False) -> ClassificationReport:
-    """The classification report, computed once per labeled graph and reading."""
-    strict_semi = bool(strict_semi)
-    return lg._fact(("classify", strict_semi), lambda g: _classify(g, strict_semi))
+def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
+    """The classification report, computed once per labeled graph."""
+    return lg._fact("classify", _classify)
 
 
-def _classify(lg: LabeledGraph, strict_semi: bool) -> ClassificationReport:
+def _classify(lg: LabeledGraph) -> ClassificationReport:
     injectivity = verify_iasi(lg)
     uniform_k, vertex_uniform_l = check_uniformity(lg)
     summary = summarize_indices(lg)
@@ -190,11 +193,6 @@ def _classify(lg: LabeledGraph, strict_semi: bool) -> ClassificationReport:
     )
     non_ap_edges = summary.non_progression_edges()
     edge_arithmetic = not non_ap_edges
-    if strict_semi:
-        semi = vertex_arithmetic and len(non_ap_edges) == len(lg.edge_labels)
-    else:
-        semi = vertex_arithmetic and not edge_arithmetic
-
     return ClassificationReport(
         is_iasi=injectivity.is_iasi,
         collision=injectivity.collision,
@@ -204,7 +202,8 @@ def _classify(lg: LabeledGraph, strict_semi: bool) -> ClassificationReport:
         vertex_arithmetic=vertex_arithmetic,
         edge_arithmetic=edge_arithmetic,
         arithmetic=vertex_arithmetic and edge_arithmetic,
-        semi_arithmetic=semi,
+        semi_arithmetic=vertex_arithmetic and not edge_arithmetic,
+        strict_semi_arithmetic=vertex_arithmetic and len(non_ap_edges) == len(lg.edge_labels),
         sub_minimal_vertices=_sub_minimal(lg),
     )
 

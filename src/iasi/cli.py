@@ -34,9 +34,9 @@ _DEFAULT_POLICY = ConstructionParams.multiplier_policy
 
 # op -> (transform, the args attribute it takes or None, that option's text)
 _TRANSFORMS = {
-    "contract": (contract_edge, "edge", "--edge u,v"),
+    "contract": (contract_edge, "edge", "--edge U V"),
     "reduce": (reduce_topologically, "vertex", "--vertex"),
-    "subdivide": (subdivide, "edge", "--edge u,v"),
+    "subdivide": (subdivide, "edge", "--edge U V"),
     "line": (to_line_graph, None, None),
     "total": (to_total_graph, None, None),
 }
@@ -52,13 +52,14 @@ def _emit(payload: dict):
 
 def _report_json(value):
     """A report as JSON-ready values: a collision through its own serializer,
-    other reports field by field, and edge-keyed dicts keyed "u-v"."""
+    other reports field by field, and an edge-keyed dict as a list of
+    {"edge": [u, v], ...} objects in canonical edge order."""
     if isinstance(value, Collision):
         return value.to_dict()
     if is_dataclass(value):
         return {f.name: _report_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
-        return {f"{u}-{v}": _report_json(x) for (u, v), x in sorted(value.items())}
+        return [{"edge": list(e), **_report_json(x)} for e, x in sorted(value.items())]
     return value
 
 
@@ -73,13 +74,6 @@ def _parse_sizes(text: str) -> tuple[int, int]:
     if len(values) == 2:
         return (values[0], values[1])
     raise argparse.ArgumentTypeError("expected one size or a lo,hi pair")
-
-
-def _parse_edge(text: str) -> tuple[str, str]:
-    parts = text.split(",")
-    if len(parts) != 2 or not all(parts):
-        raise argparse.ArgumentTypeError(f"expected an edge as u,v, got {text!r}")
-    return (parts[0], parts[1])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,15 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full classification report")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--strict-semi",
-        action="store_true",
-        help="semi-arithmetic only when no edge label is a progression",
-    )
 
     p = sub.add_parser("transform", help="apply a label-preserving transform")
     p.add_argument("--op", required=True, choices=tuple(_TRANSFORMS))
-    p.add_argument("--edge", type=_parse_edge, help=f"edge as u,v ({_ops_taking('edge')})")
+    p.add_argument(
+        "--edge", nargs=2, metavar=("U", "V"), help=f"edge endpoints ({_ops_taking('edge')})"
+    )
     p.add_argument("--vertex", help=f"vertex to reduce away ({_ops_taking('vertex')})")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
@@ -178,7 +169,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify_arithmetic(load_document(args.input), strict_semi=args.strict_semi)
+    report = classify_arithmetic(load_document(args.input))
     _emit({"command": "classify", **_report_json(report)})
     return EXIT_PASS if report.is_iasi else EXIT_FAIL
 

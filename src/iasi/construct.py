@@ -28,7 +28,7 @@ from math import isqrt
 from .classify import MIN_ARITHMETIC_LENGTH
 from .errors import SubgraphError
 from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
-from .sets import U64_MAX, APSet
+from .sets import U64_MAX, APSet, _is_int
 
 __all__ = [
     "ConstructionParams",
@@ -80,11 +80,6 @@ def _next_prime(n: int) -> int:
     while any(n % q == 0 for q in range(2, isqrt(n) + 1)):
         n += 1
     return n
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -251,20 +246,21 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     )
 
 
-def construct_complete(
-    n: int, part_sizes: tuple[int, int], d: int, k: int, sizes=3
-) -> LabeledGraph:
-    """Arithmetic labeling of the complete graph on n vertices in two bands.
+def construct_complete(part_sizes: tuple[int, int], d: int, k: int, sizes=3) -> LabeledGraph:
+    """Arithmetic labeling of the complete graph on r + l vertices in two bands.
 
-    The first ``r`` vertices (part one) get common difference d, the rest
-    get k*d. The multiplier k must not exceed the smallest part-one label
-    cardinality: every cross edge pairs a d-label with a k*d-label, and k
-    beyond that cardinality would break the progression.
+    ``part_sizes`` is (r, l): the first r vertices (part one, r >= 1) get
+    common difference d, the other l get k*d. The multiplier k must not
+    exceed the smallest part-one label cardinality: every cross edge pairs a
+    d-label with a k*d-label, and k beyond that cardinality would break the
+    progression. ``sizes`` is one label size for every vertex or a sequence
+    of r + l sizes.
     """
-    graph = complete_graph(n)
     r, l = part_sizes
-    if r < 1 or l < 0 or r + l != n:
-        raise ValueError(f"part sizes {part_sizes} do not split {n} with nonempty part one")
+    if not (_is_int(r) and _is_int(l)) or r < 1 or l < 0:
+        raise ValueError(f"part sizes must be integers r >= 1 and l >= 0, got {part_sizes!r}")
+    n = r + l
+    graph = complete_graph(n)
     if not _is_int(d) or d < 1:
         raise ValueError(f"difference d must be an integer >= 1, got {d!r}")
     if isinstance(sizes, int):

@@ -212,7 +212,7 @@ class LabeledGraph:
     are computed here once; there is no way to store anything else. The
     labeling need not be injective -- deciding that is the verifier's job.
     Facts derived from the labels (the injectivity report, the index
-    summary, classification reports) are computed on first use by ``_fact``
+    summary, the classification report) are computed on first use by ``_fact``
     and kept in ``_cache``.
     """
 
@@ -240,12 +240,6 @@ class LabeledGraph:
         if key not in self._cache:
             self._cache[key] = compute(self)
         return self._cache[key]
-
-    def relabel(self, changes) -> "LabeledGraph":
-        """A copy with some vertex labels replaced."""
-        labels = dict(self.vertex_labels)
-        labels.update(changes)
-        return LabeledGraph(self.graph, labels)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledGraph):

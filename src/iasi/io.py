@@ -21,6 +21,7 @@ import warnings
 
 from .errors import SchemaError
 from .graphs import Graph, LabeledGraph
+from .sets import _is_int
 
 __all__ = [
     "load_document",
@@ -89,9 +90,7 @@ def _parse_labels(doc, graph: Graph) -> dict:
     for v, arr in lobj.items():
         if v not in vset:
             raise SchemaError(f"label for unknown vertex {v!r}", context="labels")
-        if not isinstance(arr, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in arr
-        ):
+        if not isinstance(arr, list) or not all(_is_int(x) for x in arr):
             raise SchemaError("label must be a list of integers", context=f"labels.{v}")
         if any(x < 0 for x in arr):
             raise SchemaError("label elements must be non-negative", context=f"labels.{v}")

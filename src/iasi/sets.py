@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class IntegerSet(tuple):
     """An immutable, sorted, duplicate-free tuple of non-negative integers.
 
@@ -49,7 +54,7 @@ class IntegerSet(tuple):
             return elements
         seen = set()
         for e in elements:
-            if isinstance(e, bool) or not isinstance(e, int):
+            if not _is_int(e):
                 raise TypeError(f"set elements must be integers, got {e!r}")
             if e < 0:
                 raise ValueError(f"set elements must be non-negative, got {e}")
@@ -81,14 +86,14 @@ class APSet:
     length: int
 
     def __post_init__(self):
-        if not isinstance(self.first, int) or self.first < 0:
+        if not _is_int(self.first) or self.first < 0:
             raise ValueError(f"first term must be a non-negative integer, got {self.first!r}")
-        if not isinstance(self.length, int) or self.length < 1:
+        if not _is_int(self.length) or self.length < 1:
             raise ValueError(f"length must be a positive integer, got {self.length!r}")
         if self.length == 1:
             if self.difference is not None:
                 raise ValueError("a singleton progression has no common difference")
-        elif not isinstance(self.difference, int) or self.difference < 1:
+        elif not _is_int(self.difference) or self.difference < 1:
             raise ValueError(
                 f"common difference must be a positive integer, got {self.difference!r}"
             )
@@ -194,7 +199,7 @@ def predicted_edge_cardinality(m: int, n: int, k: int) -> int:
     without gaps.
     """
     for name, value in (("m", m), ("n", n), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise TypeError(f"{name} must be an integer, got {value!r}")
     if m < 1 or n < 1:
         raise ValueError(f"cardinalities must be positive, got m={m}, n={n}")

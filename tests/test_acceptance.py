@@ -173,7 +173,7 @@ def _complete_sweep():
     for n in range(3, 8):
         for r in range(1, n + 1):
             for k in (1, 2, 3):
-                yield n, (r, n - r), k, construct_complete(n, (r, n - r), d=1, k=k)
+                yield n, (r, n - r), k, construct_complete((r, n - r), d=1, k=k)
 
 
 def test_criterion_5_two_band_complete_graphs():

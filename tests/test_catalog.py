@@ -107,12 +107,6 @@ def test_probe_is_a_discrepancy():
     assert record.witness["differences"] == [1, 2, 4]
 
 
-def test_probe_scales_with_base_difference():
-    record = probe_k3_three_index(d=3)
-    assert record.outcome == "discrepancy"
-    assert record.witness["differences"] == [3, 6, 12]
-
-
 # ------------------------------------------------------------------ records
 
 

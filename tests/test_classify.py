@@ -2,8 +2,11 @@
 
 import sys
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iasi.classify as classify_module
 from iasi import (
@@ -149,10 +152,12 @@ def test_classify_semi_arithmetic_frozen_example():
 def test_semi_arithmetic_strict_reading():
     # one progression edge and one non-progression edge
     lg = p3({0, 2, 4}, {1, 3, 5}, {0, 8, 16})
-    default = classify_arithmetic(lg)
-    strict = classify_arithmetic(lg, strict_semi=True)
-    assert default.semi_arithmetic
-    assert not strict.semi_arithmetic  # some edge is still a progression
+    report = classify_arithmetic(lg)
+    assert report.semi_arithmetic
+    assert not report.strict_semi_arithmetic  # some edge is still a progression
+    # no edge label is a progression: both readings hold
+    both = classify_arithmetic(p2({0, 1, 2}, {0, 4, 8}))
+    assert both.semi_arithmetic and both.strict_semi_arithmetic
 
 
 def test_short_labels_are_not_vertex_arithmetic():
@@ -333,10 +338,45 @@ def test_label_facts_computed_once_per_labeled_graph(monkeypatch):
 def test_cached_reports_match_fresh_graph_for_both_readings():
     # u-v is a progression (k = 2 <= 3), v-w is not (k = 4 > 3)
     lg = p3({0, 1, 2}, {10, 12, 14}, {20, 28, 36})
-    strict = classify_arithmetic(lg, strict_semi=True)
-    loose = classify_arithmetic(lg)
-    assert loose.semi_arithmetic and not strict.semi_arithmetic
+    report = classify_arithmetic(lg)
+    assert report.semi_arithmetic and not report.strict_semi_arithmetic
+    assert classify_arithmetic(lg) is report
     fresh = LabeledGraph(lg.graph, lg.vertex_labels)
-    assert classify_arithmetic(fresh) == loose
-    fresh = LabeledGraph(lg.graph, lg.vertex_labels)
-    assert classify_arithmetic(fresh, strict_semi=True) == strict
+    assert classify_arithmetic(fresh) == report
+
+
+def _is_progression(label) -> bool:
+    """Brute force: a singleton, or the range from min to max by its first gap."""
+    s = sorted(label)
+    return len(s) == 1 or s == list(range(s[0], s[-1] + 1, s[1] - s[0]))
+
+
+_progressions = st.builds(
+    lambda first, d, length: set(range(first, first + d * length, d)),
+    st.integers(0, 40), st.integers(1, 6), st.integers(1, 5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=st.tuples(_progressions, _progressions, _progressions), triangle=st.booleans())
+def test_both_semi_readings_match_brute_force(labels, triangle):
+    edges = [("u", "v"), ("v", "w")] + ([("u", "w")] if triangle else [])
+    lg = LabeledGraph(Graph(["u", "v", "w"], edges), dict(zip("uvw", labels)))
+    vertex_arithmetic = all(len(s) >= 3 for s in labels)
+    progression_edges = [_is_progression(label) for label in lg.edge_labels.values()]
+
+    runs = []
+    real = classify_module._classify
+
+    def counting(g):
+        runs.append(g)
+        return real(g)
+
+    with patch.object(classify_module, "_classify", counting):
+        reports = [classify_arithmetic(lg) for _ in range(3)]
+    assert runs == [lg]
+    report = reports[0]
+    assert all(r is report for r in reports)
+    assert report.vertex_arithmetic == vertex_arithmetic
+    assert report.semi_arithmetic == (vertex_arithmetic and not all(progression_edges))
+    assert report.strict_semi_arithmetic == (vertex_arithmetic and not any(progression_edges))

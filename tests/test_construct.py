@@ -98,7 +98,7 @@ def test_distinct_sum_sequence_every_count_up_to_300():
 
 def test_single_edge_frozen_example():
     # differences 2 and 3 * 2, sizes 3 and 4; stride 2 * (3 * 6) + 1 = 37
-    lg = construct_complete(2, (1, 1), d=2, k=3, sizes=(3, 4))
+    lg = construct_complete((1, 1), d=2, k=3, sizes=(3, 4))
     assert tuple(lg.vertex_labels["a"]) == (37, 39, 41)
     assert tuple(lg.vertex_labels["b"]) == (74, 80, 86, 92)
     edge = lg.edge_labels[("a", "b")]
@@ -288,7 +288,7 @@ def test_any_seed_constructs_arithmetic(seed):
 
 
 def test_complete_frozen_example():
-    lg = construct_complete(4, (2, 2), d=3, k=2, sizes=3)
+    lg = construct_complete((2, 2), d=3, k=2, sizes=3)
     assert_arithmetic(lg)
     diffs = {v: detect_ap(s).difference for v, s in lg.vertex_labels.items()}
     assert diffs == {"a": 3, "b": 3, "c": 6, "d": 6}
@@ -301,41 +301,47 @@ def test_complete_frozen_example():
 
 def test_complete_multiplier_bound():
     with pytest.raises(ValueError):
-        construct_complete(4, (2, 2), d=3, k=4, sizes=3)
+        construct_complete((2, 2), d=3, k=4, sizes=3)
 
 
 def test_complete_part_validation():
+    with pytest.raises(ValueError, match="part sizes"):
+        construct_complete((0, 4), d=1, k=1)
+    with pytest.raises(ValueError, match="part sizes"):
+        construct_complete((2, -1), d=1, k=1)
+    with pytest.raises(ValueError, match="part sizes"):
+        construct_complete((True, 2), d=1, k=1)
+    with pytest.raises(ValueError, match="part sizes"):
+        construct_complete((2.0, 1.0), d=1, k=1)
     with pytest.raises(ValueError):
-        construct_complete(4, (0, 4), d=1, k=1)
-    with pytest.raises(ValueError):
-        construct_complete(4, (3, 2), d=1, k=1)
-    with pytest.raises(ValueError):
-        construct_complete(1, (1, 0), d=1, k=1)
+        construct_complete((1, 0), d=1, k=1)  # K1 has no edge
+    with pytest.raises(ValueError, match="expected 4 label sizes"):
+        construct_complete((2, 2), d=1, k=1, sizes=(3, 3, 3))
     with pytest.raises(ValueError, match="difference d"):
-        construct_complete(4, (2, 2), d=True, k=1)
+        construct_complete((2, 2), d=True, k=1)
     with pytest.raises(ValueError, match="multiplier k"):
-        construct_complete(4, (2, 2), d=1, k=True)
+        construct_complete((2, 2), d=1, k=True)
     with pytest.raises(ValueError, match="multiplier k"):
-        construct_complete(4, (2, 2), d=1, k=2.0)
+        construct_complete((2, 2), d=1, k=2.0)
     with pytest.raises(ValueError, match="label sizes"):
-        construct_complete(4, (2, 2), d=1, k=1, sizes=(3, 3.0, 3, 3))
+        construct_complete((2, 2), d=1, k=1, sizes=(3, 3.0, 3, 3))
 
 
 def test_complete_beyond_26_vertices():
-    lg = construct_complete(40, (20, 20), d=1, k=3, sizes=3)
+    lg = construct_complete((20, 20), d=1, k=3, sizes=3)
     assert len(lg.graph.vertices) == 40
     assert_arithmetic(lg)
     assert check_multiplier_condition(lg).ok
 
 
 def test_complete_single_band():
-    lg = construct_complete(5, (5, 0), d=2, k=1, sizes=4)
+    lg = construct_complete((5, 0), d=2, k=1, sizes=4)
     assert_arithmetic(lg)
     assert {detect_ap(s).difference for s in lg.vertex_labels.values()} == {2}
 
 
 def test_complete_per_vertex_sizes():
-    lg = construct_complete(4, (1, 3), d=1, k=3, sizes=(3, 4, 5, 6))
+    lg = construct_complete((1, 3), d=1, k=3, sizes=(3, 4, 5, 6))
     assert_arithmetic(lg)
     assert [len(lg.vertex_labels[v]) for v in lg.graph.vertices] == [3, 4, 5, 6]
 
@@ -344,7 +350,7 @@ def test_complete_per_vertex_sizes():
 
 
 def test_restriction_preserves_arithmetic():
-    lg = construct_complete(4, (2, 2), d=1, k=2, sizes=3)
+    lg = construct_complete((2, 2), d=1, k=2, sizes=3)
     spanning_path = Graph(
         ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]
     )
@@ -354,13 +360,13 @@ def test_restriction_preserves_arithmetic():
 
 
 def test_restriction_to_single_edge():
-    lg = construct_complete(4, (2, 2), d=1, k=2, sizes=3)
+    lg = construct_complete((2, 2), d=1, k=2, sizes=3)
     restricted = restrict_labeling(lg, Graph(["a", "b"], [("a", "b")]))
     assert_arithmetic(restricted)
 
 
 def test_restriction_rejects_foreign_elements():
-    lg = construct_complete(3, (3, 0), d=1, k=1)
+    lg = construct_complete((3, 0), d=1, k=1)
     with pytest.raises(SubgraphError, match="x"):
         restrict_labeling(lg, Graph(["a", "x"], [("a", "x")]))
     with pytest.raises(SubgraphError):

@@ -138,15 +138,6 @@ def test_induction_overflow_rejected():
         LabeledGraph(g, {"u": {U64_MAX}, "v": {2}})
 
 
-def test_relabel_copies():
-    g = Graph(["u", "v"], [("u", "v")])
-    lg = LabeledGraph(g, {"u": {0, 1}, "v": {2, 3}})
-    lg2 = lg.relabel({"u": {5, 6}})
-    assert tuple(lg2.vertex_labels["u"]) == (5, 6)
-    assert tuple(lg.vertex_labels["u"]) == (0, 1)
-    assert tuple(lg2.edge_labels[("u", "v")]) == (7, 8, 9)
-
-
 # ------------------------------------------------------------ IndexSummary
 
 

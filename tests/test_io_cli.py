@@ -5,10 +5,12 @@ import json
 import pytest
 
 from iasi import (
+    ConstructionParams,
     Graph,
     InvalidLabelingError,
     LabeledGraph,
     SchemaError,
+    construct_arbitrary,
     document_dict,
     document_text,
     dot_text,
@@ -275,9 +277,20 @@ def test_cli_classify_reports_fields(tmp_path, capsys):
     code, payload, _ = run_cli(capsys, "classify", "--input", str(path))
     assert code == 0
     assert payload["arithmetic"] is True
-    assert payload["per_edge"]["u-v"]["indexing_number"] == 5
-    code, strict, _ = run_cli(capsys, "classify", "--input", str(path), "--strict-semi")
-    assert code == 0 and strict["arithmetic"] is True
+    assert payload["semi_arithmetic"] is False
+    assert payload["strict_semi_arithmetic"] is False
+    assert payload["per_edge"][0] == {
+        "edge": ["u", "v"], "indexing_number": 5, "strong": False, "weak": False
+    }
+
+
+def test_cli_classify_rejects_strict_semi(tmp_path, capsys):
+    path = tmp_path / "lg.json"
+    save_document(sample_lg(), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--input", str(path), "--strict-semi"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict-semi" in capsys.readouterr().err
 
 
 def test_cli_transform_contract(tmp_path, capsys):
@@ -285,11 +298,32 @@ def test_cli_transform_contract(tmp_path, capsys):
     save_document(sample_lg(), path)
     out = str(tmp_path / "contracted.json")
     code, payload, _ = run_cli(
-        capsys, "transform", "--op", "contract", "--edge", "u,v",
+        capsys, "transform", "--op", "contract", "--edge", "u", "v",
         "--input", str(path), "--output", out,
     )
     assert code == 0
     assert json.loads(open(out).read())["labels"]["(u*v)"] == [10, 11, 12, 13, 14]
+
+
+def test_cli_transform_contracts_an_edge_of_a_line_graph(tmp_path, capsys):
+    path = tmp_path / "lg.json"
+    save_document(
+        construct_arbitrary(path_graph(4), ConstructionParams()).labeled_graph, path
+    )
+    line = str(tmp_path / "line.json")
+    code, _, _ = run_cli(
+        capsys, "transform", "--op", "line", "--input", str(path), "--output", line
+    )
+    assert code == 0
+    assert load_document(line).graph.edges == (("(a,b)", "(b,c)"), ("(b,c)", "(c,d)"))
+    out = str(tmp_path / "contracted.json")
+    code, payload, err = run_cli(
+        capsys, "transform", "--op", "contract", "--edge", "(a,b)", "(b,c)",
+        "--input", line, "--output", out,
+    )
+    assert (code, err) == (0, "")
+    assert payload == {"command": "transform", "op": "contract", "output": out}
+    assert load_document(out).graph.vertices == ("((a,b)*(b,c))", "(c,d)")
 
 
 def test_cli_transform_usage_errors(tmp_path, capsys):
@@ -331,8 +365,9 @@ def test_cli_transform_collision_is_exit_one(tmp_path, capsys):
     assert payload["collision"]["kind"] in ("vertex", "edge")
 
 
-# An arithmetic labeling whose total graph collides, and a semi-arithmetic
-# labeling with a vertex collision that the two readings classify apart.
+# An arithmetic labeling whose total graph collides, a semi-arithmetic
+# labeling with a vertex collision that the two readings classify apart, and
+# vertex names with dashes whose edges would share one "u-v" key.
 GOLDEN_DOCS = {
     "arithmetic": {
         "graph": {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"]]},
@@ -345,29 +380,46 @@ GOLDEN_DOCS = {
         },
         "labels": {"a": [0, 1, 2], "b": [0, 4, 8], "c": [0, 2, 4], "d": [0, 1, 2]},
     },
+    "dashed": {
+        "graph": {
+            "vertices": ["a", "a-b", "b", "b-c", "c"],
+            "edges": [["a", "b-c"], ["a-b", "c"], ["a", "b"], ["b", "c"]],
+        },
+        "labels": {"a": [0], "a-b": [10], "b": [20], "b-c": [30], "c": [40]},
+    },
 }
 
 _ARITHMETIC_CLASSES = (
     '{"arithmetic": true, "collision": null, "command": "classify", '
-    '"edge_arithmetic": true, "is_iasi": true, "per_edge": {'
-    '"a-b": {"indexing_number": 5, "strong": false, "weak": false}, '
-    '"a-c": {"indexing_number": 5, "strong": false, "weak": false}}, '
-    '"semi_arithmetic": false, "sub_minimal_vertices": [], "uniform_k": 5, '
+    '"edge_arithmetic": true, "is_iasi": true, "per_edge": ['
+    '{"edge": ["a", "b"], "indexing_number": 5, "strong": false, "weak": false}, '
+    '{"edge": ["a", "c"], "indexing_number": 5, "strong": false, "weak": false}], '
+    '"semi_arithmetic": false, "strict_semi_arithmetic": false, '
+    '"sub_minimal_vertices": [], "uniform_k": 5, '
     '"vertex_arithmetic": true, "vertex_uniform_l": 3}\n'
 )
+_DASHED_CLASSES = (
+    '{"arithmetic": false, "collision": null, "command": "classify", '
+    '"edge_arithmetic": true, "is_iasi": true, "per_edge": ['
+    '{"edge": ["a", "b"], "indexing_number": 1, "strong": true, "weak": true}, '
+    '{"edge": ["a", "b-c"], "indexing_number": 1, "strong": true, "weak": true}, '
+    '{"edge": ["a-b", "c"], "indexing_number": 1, "strong": true, "weak": true}, '
+    '{"edge": ["b", "c"], "indexing_number": 1, "strong": true, "weak": true}], '
+    '"semi_arithmetic": false, "strict_semi_arithmetic": false, '
+    '"sub_minimal_vertices": ["a", "a-b", "b", "b-c", "c"], "uniform_k": 1, '
+    '"vertex_arithmetic": false, "vertex_uniform_l": 1}\n'
+)
 _VERTEX_COLLISION = '{"first": "a", "kind": "vertex", "label": [0, 1, 2], "second": "d"}'
-
-
-def _colliding_classes(semi):
-    return (
-        f'{{"arithmetic": false, "collision": {_VERTEX_COLLISION}, "command": "classify", '
-        '"edge_arithmetic": false, "is_iasi": false, "per_edge": {'
-        '"a-b": {"indexing_number": 9, "strong": true, "weak": false}, '
-        '"b-c": {"indexing_number": 7, "strong": false, "weak": false}, '
-        '"c-d": {"indexing_number": 7, "strong": false, "weak": false}}, '
-        f'"semi_arithmetic": {semi}, "sub_minimal_vertices": [], "uniform_k": null, '
-        '"vertex_arithmetic": true, "vertex_uniform_l": 3}\n'
-    )
+_COLLIDING_CLASSES = (
+    f'{{"arithmetic": false, "collision": {_VERTEX_COLLISION}, "command": "classify", '
+    '"edge_arithmetic": false, "is_iasi": false, "per_edge": ['
+    '{"edge": ["a", "b"], "indexing_number": 9, "strong": true, "weak": false}, '
+    '{"edge": ["b", "c"], "indexing_number": 7, "strong": false, "weak": false}, '
+    '{"edge": ["c", "d"], "indexing_number": 7, "strong": false, "weak": false}], '
+    '"semi_arithmetic": true, "strict_semi_arithmetic": false, '
+    '"sub_minimal_vertices": [], "uniform_k": null, '
+    '"vertex_arithmetic": true, "vertex_uniform_l": 3}\n'
+)
 
 
 @pytest.mark.parametrize(
@@ -376,19 +428,18 @@ def _colliding_classes(semi):
         ("arithmetic", ["verify"], 0,
          '{"collision": null, "command": "verify", "is_iasi": true}\n', ""),
         ("arithmetic", ["classify"], 0, _ARITHMETIC_CLASSES, ""),
-        ("arithmetic", ["classify", "--strict-semi"], 0, _ARITHMETIC_CLASSES, ""),
+        ("dashed", ["classify"], 0, _DASHED_CLASSES, ""),
         ("arithmetic", ["transform", "--op", "total"], 1,
          '{"collision": {"first": ["(a,b)", "b"], "kind": "edge", '
          '"label": [25, 26, 27, 28, 29, 30, 31], "second": ["(a,c)", "a"]}, '
          '"command": "transform", "error": "collision", "op": "total"}\n', ""),
         ("arithmetic", ["transform", "--op", "contract"], 2, "",
-         "error: --op contract requires --edge u,v\n"),
+         "error: --op contract requires --edge U V\n"),
         ("arithmetic", ["transform", "--op", "reduce"], 2, "",
          "error: --op reduce requires --vertex\n"),
         ("colliding", ["verify"], 1,
          f'{{"collision": {_VERTEX_COLLISION}, "command": "verify", "is_iasi": false}}\n', ""),
-        ("colliding", ["classify"], 1, _colliding_classes("true"), ""),
-        ("colliding", ["classify", "--strict-semi"], 1, _colliding_classes("false"), ""),
+        ("colliding", ["classify"], 1, _COLLIDING_CLASSES, ""),
     ],
 )
 def test_cli_golden_output(tmp_path, capsys, doc, argv, code, out, err):

@@ -1,5 +1,6 @@
 """Package-wide properties of the source tree."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import iasi
+from iasi.cli import _build_parser
 
 
 def test_package_imports_only_stdlib_and_itself():
@@ -75,3 +77,34 @@ def test_readme_quick_start_runs():
     assert [want for _, want in shown] == ["IntegerSet({0, 1, 2, 3, 4, 5, 6})", "3"]
     for expr, want in shown:
         assert repr(eval(expr, namespace)) == want, expr
+
+
+def _readme_cli_section() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"^## CLI\n(.*?)^## ", readme, re.S | re.M).group(1)
+
+
+def test_readme_cli_commands_parse():
+    block = re.search(r"```sh\n(.*?)```", _readme_cli_section(), re.S).group(1)
+    commands = [
+        line.split()
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("iasi ")
+    ]
+    assert len(commands) >= 6
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit as exc:
+            raise AssertionError(f"README command does not parse: {' '.join(argv)}") from exc
+
+
+def test_readme_cli_options_exist():
+    parser = _build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = set(parser._option_string_actions)
+    for sub in subcommands.choices.values():
+        options |= set(sub._option_string_actions)
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", _readme_cli_section()))
+    assert shown and shown <= options, sorted(shown - options)

@@ -177,6 +177,13 @@ def test_apset_validation():
         APSet(first=-1, difference=1, length=2)
     with pytest.raises(LabelOverflowError):
         APSet(first=U64_MAX, difference=1, length=2)
+    # bools are not integers here
+    with pytest.raises(ValueError, match="first term"):
+        APSet(first=True, difference=True, length=3)
+    with pytest.raises(ValueError, match="common difference"):
+        APSet(first=0, difference=True, length=3)
+    with pytest.raises(ValueError, match="length"):
+        APSet(first=0, difference=1, length=True)
 
 
 def test_apset_singleton_overflow_rejected():
