@@ -83,6 +83,36 @@ def _bfs_components(vertices, neighbors) -> Iterator[list]:
         yield order
 
 
+def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
+    """One pass over the raw data: its violations and the adjacency sets of its valid edges."""
+    violations = []
+    adjacency = {}
+    for v in vertices:
+        if v in adjacency:
+            violations.append(GraphViolation("duplicate-vertex", v))
+        else:
+            adjacency[v] = set()
+    if not adjacency:
+        violations.append(GraphViolation("empty-graph", ()))
+
+    for u, v in edges:
+        if u == v:
+            violations.append(GraphViolation("self-loop", (u, v)))
+            continue
+        dangling = (u not in adjacency) + (v not in adjacency)  # one report per unknown end
+        if dangling:
+            violations += [GraphViolation("dangling-endpoint", (u, v))] * dangling
+        elif v in adjacency[u]:
+            violations.append(GraphViolation("duplicate-edge", _canonical_edge(u, v)))
+        else:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+
+    isolated = sorted([v for v, ns in adjacency.items() if not ns])
+    violations += [GraphViolation("isolated-vertex", v) for v in isolated]
+    return violations, adjacency
+
+
 def find_graph_violations(vertices, edges) -> list[GraphViolation]:
     """Collect every simple-graph violation in the raw data.
 
@@ -90,43 +120,7 @@ def find_graph_violations(vertices, edges) -> list[GraphViolation]:
     edges (in either orientation), endpoints naming no vertex, and vertices
     left without any valid incident edge.
     """
-    violations = []
-    vertices = list(vertices)
-    if not vertices:
-        violations.append(GraphViolation("empty-graph", ()))
-    vset = set(vertices)
-    if len(vset) != len(vertices):
-        seen = set()
-        for v in vertices:
-            if v in seen:
-                violations.append(GraphViolation("duplicate-vertex", v))
-            seen.add(v)
-
-    seen_edges = set()
-    touched = set()
-    for raw in edges:
-        u, v = raw
-        if u == v:
-            violations.append(GraphViolation("self-loop", (u, v)))
-            continue
-        dangling = False
-        for end in (u, v):
-            if end not in vset:
-                violations.append(GraphViolation("dangling-endpoint", (u, v)))
-                dangling = True
-        if dangling:
-            continue
-        e = _canonical_edge(u, v)
-        if e in seen_edges:
-            violations.append(GraphViolation("duplicate-edge", e))
-            continue
-        seen_edges.add(e)
-        touched.update(e)
-
-    for v in sorted(vset):
-        if v not in touched:
-            violations.append(GraphViolation("isolated-vertex", v))
-    return violations
+    return _scan(vertices, edges)[0]
 
 
 class Graph:
@@ -140,17 +134,14 @@ class Graph:
     __slots__ = ("vertices", "edges", "_adjacency")
 
     def __init__(self, vertices, edges):
-        vertices, edges = list(vertices), list(edges)
-        violations = find_graph_violations(vertices, edges)
+        violations, adjacency = _scan(vertices, edges)
         if violations:
             raise GraphValidationError(violations)
-        self.vertices = tuple(sorted(set(vertices)))
-        self.edges = tuple(sorted(_canonical_edge(u, v) for u, v in edges))
-        adjacency = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self._adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        self.vertices = tuple(sorted(adjacency))
+        self._adjacency = {v: tuple(sorted(adjacency[v])) for v in self.vertices}
+        self.edges = tuple(
+            sorted([(u, v) for u in self.vertices for v in self._adjacency[u] if u < v])
+        )
 
     def neighbors(self, v) -> tuple:
         return self._adjacency[v]
@@ -166,7 +157,7 @@ class Graph:
         return [tuple(sorted(c)) for c in _bfs_components(self.vertices, self.neighbors)]
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return len(next(_bfs_components(self.vertices, self.neighbors))) == len(self.vertices)
 
     def graph_id(self) -> str:
         """Canonical edge-list string; no vertex escapes it (none isolated)."""
@@ -219,11 +210,10 @@ class LabeledGraph:
     __slots__ = ("graph", "vertex_labels", "edge_labels", "_cache")
 
     def __init__(self, graph: Graph, vertex_labels):
-        missing = [v for v in graph.vertices if v not in vertex_labels]
-        if missing:
-            raise InvalidLabelingError(f"no label for vertex {missing[0]!r}")
         labels = {}
         for v in graph.vertices:
+            if v not in vertex_labels:
+                raise InvalidLabelingError(f"no label for vertex {v!r}")
             label = IntegerSet(vertex_labels[v])
             if not label:
                 raise InvalidLabelingError(f"empty label for vertex {v!r}")

@@ -10,8 +10,10 @@ Document layout::
 
 "labels" may be omitted for bare graphs (construction input). Unknown
 fields anywhere are rejected; label arrays must be ascending and are
-normalized with a warning when they are not. Serialization is canonical,
-so saving what was loaded is byte-stable.
+normalized with a warning when they are not. Serialization is canonical:
+the text depends only on the labeled graph and the metadata passed to the
+writer. ``load_document`` drops metadata, so re-saving a loaded document
+gives the same bytes only when the same metadata is passed back.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import warnings
 
 from .errors import SchemaError
 from .graphs import Graph, LabeledGraph
-from .sets import _is_int
+from .sets import IntegerSet
 
 __all__ = [
     "load_document",
@@ -90,17 +92,21 @@ def _parse_labels(doc, graph: Graph) -> dict:
     for v, arr in lobj.items():
         if v not in vset:
             raise SchemaError(f"label for unknown vertex {v!r}", context="labels")
-        if not isinstance(arr, list) or not all(_is_int(x) for x in arr):
-            raise SchemaError("label must be a list of integers", context=f"labels.{v}")
-        if any(x < 0 for x in arr):
-            raise SchemaError("label elements must be non-negative", context=f"labels.{v}")
-        normalized = sorted(set(arr))
-        if normalized != arr:
+        where = f"labels.{v}"
+        if not isinstance(arr, list):
+            raise SchemaError("label must be a list of integers", context=where)
+        try:
+            label = IntegerSet(arr)
+        except TypeError as exc:
+            raise SchemaError("label must be a list of integers", context=where) from exc
+        except ValueError as exc:
+            raise SchemaError("label elements must be non-negative", context=where) from exc
+        if list(label) != arr:
             warnings.warn(
                 f"label array for {v!r} was not strictly ascending; normalized",
                 stacklevel=3,
             )
-        labels[v] = normalized
+        labels[v] = label
     return labels
 
 

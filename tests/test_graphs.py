@@ -1,10 +1,13 @@
 """Graph validation, labelings, induced edge labels, index summaries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iasi import (
     Graph,
     GraphValidationError,
+    GraphViolation,
     InvalidLabelingError,
     IntegerSet,
     LabeledGraph,
@@ -93,6 +96,88 @@ def test_components_and_connectivity():
 def test_graph_id_is_canonical():
     g = Graph(["b", "a", "c"], [("c", "b"), ("b", "a")])
     assert g.graph_id() == "a-b,b-c"
+
+
+# Reference: validate in one pass, then canonicalize and build in a second.
+def reference_violations(vertices, edges):
+    violations = []
+    vertices = list(vertices)
+    if not vertices:
+        violations.append(GraphViolation("empty-graph", ()))
+    vset = set(vertices)
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            violations.append(GraphViolation("duplicate-vertex", v))
+        seen.add(v)
+    seen_edges, touched = set(), set()
+    for u, v in edges:
+        if u == v:
+            violations.append(GraphViolation("self-loop", (u, v)))
+            continue
+        dangling = [end for end in (u, v) if end not in vset]
+        violations += [GraphViolation("dangling-endpoint", (u, v)) for _ in dangling]
+        if dangling:
+            continue
+        e = (u, v) if u <= v else (v, u)
+        if e in seen_edges:
+            violations.append(GraphViolation("duplicate-edge", e))
+            continue
+        seen_edges.add(e)
+        touched.update(e)
+    for v in sorted(vset):
+        if v not in touched:
+            violations.append(GraphViolation("isolated-vertex", v))
+    return violations
+
+
+def reference_build(vertices, edges):
+    vertices = tuple(sorted(set(vertices)))
+    edges = tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges))
+    adjacency = {v: set() for v in vertices}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return vertices, edges, {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+
+
+names = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@st.composite
+def raw_graphs(draw):
+    """Raw vertex and edge lists, half of them valid simple graphs."""
+    if draw(st.booleans()):
+        edges = draw(
+            st.lists(
+                st.tuples(names, names).filter(lambda e: e[0] != e[1]),
+                unique_by=frozenset,
+                max_size=8,
+            )
+        )
+        vertices = draw(st.permutations(sorted({x for e in edges for x in e})))
+        return vertices, edges
+    vertices = draw(st.lists(names, max_size=6))
+    edges = draw(st.lists(st.tuples(names, names), max_size=8))
+    return vertices, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_graphs())
+def test_one_scan_matches_two_pass_reference(data):
+    vertices, edges = data
+    expected = reference_violations(vertices, edges)
+    assert find_graph_violations(vertices, edges) == expected
+    if expected:
+        with pytest.raises(GraphValidationError) as exc:
+            Graph(vertices, edges)
+        assert list(exc.value.violations) == expected
+        return
+    g = Graph(vertices, edges)
+    ref_vertices, ref_edges, ref_adjacency = reference_build(vertices, edges)
+    assert g.vertices == ref_vertices
+    assert g.edges == ref_edges
+    assert {v: g.neighbors(v) for v in g.vertices} == ref_adjacency
 
 
 # ------------------------------------------------------------- LabeledGraph

@@ -4,11 +4,15 @@ import json
 
 import pytest
 
+import iasi.io
+import iasi.sets
 from iasi import (
+    U64_MAX,
     ConstructionParams,
     Graph,
     InvalidLabelingError,
     LabeledGraph,
+    LabelOverflowError,
     SchemaError,
     construct_arbitrary,
     document_dict,
@@ -112,6 +116,7 @@ def test_schema_errors_name_the_field(tmp_path, payload, context):
         ({"a": "012", "b": [0]}, "labels.a"),
         ({"a": [0, True], "b": [0]}, "labels.a"),
         ({"a": [0, -1], "b": [0]}, "labels.a"),
+        ({"a": [0, 1.5], "b": [0]}, "labels.a"),
     ],
 )
 def test_label_schema_errors(tmp_path, labels, context):
@@ -155,6 +160,42 @@ def test_unsorted_labels_normalize_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="'a'"):
         lg = load_document(path)
     assert tuple(lg.vertex_labels["a"]) == (0, 1, 2)
+
+
+def test_label_elements_checked_once_per_load(tmp_path, monkeypatch):
+    checked = []
+
+    def counting_is_int(value):
+        checked.append(value)
+        return type(value) is int
+
+    # io's own name is patched too, so an element check made there also counts
+    monkeypatch.setattr(iasi.sets, "_is_int", counting_is_int)
+    monkeypatch.setattr(iasi.io, "_is_int", counting_is_int, raising=False)
+    path = write_doc(
+        tmp_path,
+        {
+            "graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            "labels": {"a": [0, 1, 2], "b": [5, 6]},
+        },
+    )
+    load_document(path)
+    assert checked == [0, 1, 2, 5, 6]
+
+
+def test_label_above_u64_overflows(tmp_path, capsys):
+    path = write_doc(
+        tmp_path,
+        {
+            "graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            "labels": {"a": [0, U64_MAX + 1], "b": [0]},
+        },
+    )
+    with pytest.raises(LabelOverflowError):
+        load_document(path)
+    code, payload, err = run_cli(capsys, "verify", "--input", path)
+    assert code == 2 and payload is None
+    assert "64-bit" in err
 
 
 def test_malformed_json_reports_position(tmp_path):
