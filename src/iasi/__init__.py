@@ -21,14 +21,12 @@ from .sets import (
 from .graphs import (
     Graph,
     GraphViolation,
-    IndexSummary,
     LabeledGraph,
     complete_graph,
     cycle_graph,
     find_graph_violations,
     path_graph,
     star_graph,
-    summarize_indices,
 )
 from .classify import (
     ClassificationReport,
@@ -39,7 +37,6 @@ from .classify import (
     MultiplierReport,
     MultiplierViolation,
     check_gcd_invariant,
-    check_gcd_invariant_components,
     check_multiplier_condition,
     check_singleton_endpoint_rule,
     check_uniformity,
@@ -53,7 +50,6 @@ from .construct import (
     construct_arbitrary,
     construct_complete,
     distinct_sum_sequence,
-    restrict_labeling,
 )
 from .transforms import (
     contract_edge,
@@ -88,7 +84,6 @@ from .errors import (
     LabelOverflowError,
     NotArithmeticError,
     SchemaError,
-    SubgraphError,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .classify import (
+    _non_progression_edges,
     check_gcd_invariant,
     check_multiplier_condition,
     classify_arithmetic,
@@ -33,14 +34,7 @@ from .classify import (
 )
 from .construct import ConstructionParams, _progression_labels, construct_arbitrary
 from .errors import GraphValidationError, LabelCollisionError
-from .graphs import (
-    Graph,
-    LabeledGraph,
-    _bfs_components,
-    _vertex_names,
-    complete_graph,
-    summarize_indices,
-)
+from .graphs import Graph, LabeledGraph, _bfs_components, _vertex_names, complete_graph
 from .transforms import (
     _reduction_problem,
     contract_edge,
@@ -51,7 +45,6 @@ from .transforms import (
 )
 
 __all__ = [
-    "MAX_CATALOG_N",
     "enumerate_connected_graphs",
     "CheckRecord",
     "check_one_graph",
@@ -200,7 +193,7 @@ def _transform(transform, lg: LabeledGraph, *args):
     report = classify_arithmetic(out)
     if report.is_iasi and report.arithmetic:
         return "pass", {"arithmetic": True}
-    non_ap_edges = sorted(f"{u}-{v}" for u, v in summarize_indices(out).non_progression_edges())
+    non_ap_edges = sorted(f"{u}-{v}" for u, v in _non_progression_edges(out))
     return "discrepancy", {
         "arithmetic": report.arithmetic,
         "is_iasi": report.is_iasi,

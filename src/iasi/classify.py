@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraphError, LabelCollisionError, NotArithmeticError
-from .graphs import LabeledGraph, summarize_indices
+from .graphs import LabeledGraph
+from .sets import _bounded_multiple, detect_ap
 
 __all__ = [
     "Collision",
@@ -33,7 +34,6 @@ __all__ = [
     "check_multiplier_condition",
     "GcdReport",
     "check_gcd_invariant",
-    "check_gcd_invariant_components",
     "check_singleton_endpoint_rule",
 ]
 
@@ -112,6 +112,28 @@ def _verify(lg: LabeledGraph) -> InjectivityReport:
     return InjectivityReport(is_iasi=collision is None, collision=collision)
 
 
+def _differences(lg: LabeledGraph) -> tuple[dict, dict]:
+    """Each vertex's and each edge's common difference (deterministic index).
+
+    A label has one exactly when it is a progression of two or more
+    elements; singletons and non-progressions carry None. Progressions are
+    detected once per labeled graph.
+    """
+    return lg._fact("differences", _detect_differences)
+
+
+def _detect_differences(lg: LabeledGraph) -> tuple[dict, dict]:
+    return (
+        {v: getattr(detect_ap(s), "difference", None) for v, s in lg.vertex_labels.items()},
+        {e: getattr(detect_ap(s), "difference", None) for e, s in lg.edge_labels.items()},
+    )
+
+
+def _non_progression_edges(lg: LabeledGraph) -> list:
+    """Edges whose label is not a progression (singletons are), in canonical order."""
+    return [e for e, d in _differences(lg)[1].items() if d is None and len(lg.edge_labels[e]) > 1]
+
+
 @dataclass(frozen=True)
 class EdgeClassification:
     weak: bool
@@ -185,13 +207,11 @@ def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
 def _classify(lg: LabeledGraph) -> ClassificationReport:
     injectivity = verify_iasi(lg)
     uniform_k, vertex_uniform_l = check_uniformity(lg)
-    summary = summarize_indices(lg)
-    sizes = summary.vertex_indexing_numbers
     vertex_arithmetic = all(
-        d is not None and sizes[v] >= MIN_ARITHMETIC_LENGTH
-        for v, d in summary.vertex_deterministic_indices.items()
+        d is not None and len(lg.vertex_labels[v]) >= MIN_ARITHMETIC_LENGTH
+        for v, d in _differences(lg)[0].items()
     )
-    non_ap_edges = summary.non_progression_edges()
+    non_ap_edges = _non_progression_edges(lg)
     edge_arithmetic = not non_ap_edges
     return ClassificationReport(
         is_iasi=injectivity.is_iasi,
@@ -232,22 +252,20 @@ class MultiplierViolation:
 class MultiplierReport:
     ok: bool
     violations: tuple
-    sub_minimal_vertices: tuple
 
 
-def _indices(names, indices: dict, labels: dict, kind: str) -> list:
-    """Deterministic indices of the named labels, in order.
+def _indices(indices: dict, labels: dict, kind: str) -> dict:
+    """``indices`` itself when every label has a deterministic index.
 
-    Raises NotArithmeticError naming the first label without one.
+    Otherwise NotArithmeticError names the first label without one.
     """
-    out = [indices[x] for x in names]
-    if None in out:
-        x = names[out.index(None)]
-        raise NotArithmeticError(
-            f"{kind} {x!r} has no deterministic index: label {_braced(labels[x])} is "
-            "not a progression of two or more elements"
-        )
-    return out
+    for x, d in indices.items():
+        if d is None:
+            raise NotArithmeticError(
+                f"{kind} {x!r} has no deterministic index: label {_braced(labels[x])} is "
+                "not a progression of two or more elements"
+            )
+    return indices
 
 
 def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
@@ -255,32 +273,19 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
 
     For an edge whose endpoint differences are d_low <= d_high, the edge
     label is a progression exactly when d_high = k * d_low for an integer
-    1 <= k <= |label of the d_low endpoint|. When both endpoints share one
-    difference the bound is the smaller endpoint cardinality (k = 1 always
-    passes). Requires every vertex label to have a deterministic index.
+    1 <= k <= |label of the d_low endpoint|. Requires every vertex label to
+    have a deterministic index.
     """
-    vertices = lg.graph.vertices
-    indices = summarize_indices(lg).vertex_deterministic_indices
-    diffs = dict(zip(vertices, _indices(vertices, indices, lg.vertex_labels, "vertex")))
+    diffs = _indices(_differences(lg)[0], lg.vertex_labels, "vertex")
     violations = []
     for u, v in lg.graph.edges:
-        du, dv = diffs[u], diffs[v]
-        if du <= dv:
-            low_vertices = [u] if du < dv else [u, v]
-            low, high = du, dv
-        else:
-            low_vertices = [v]
-            low, high = dv, du
-        bound = min(len(lg.vertex_labels[x]) for x in low_vertices)
-        if high % low != 0:
-            violations.append(MultiplierViolation((u, v), low, high, None, bound))
-            continue
-        k = high // low
-        if k > bound:
-            violations.append(MultiplierViolation((u, v), low, high, k, bound))
-    return MultiplierReport(
-        ok=not violations, violations=tuple(violations), sub_minimal_vertices=_sub_minimal(lg)
-    )
+        low_vertex, high_vertex = (u, v) if diffs[u] <= diffs[v] else (v, u)
+        low, high = diffs[low_vertex], diffs[high_vertex]
+        bound = len(lg.vertex_labels[low_vertex])
+        if not _bounded_multiple(low, high, bound):
+            k, rest = divmod(high, low)
+            violations.append(MultiplierViolation((u, v), low, high, None if rest else k, bound))
+    return MultiplierReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -291,39 +296,21 @@ class GcdReport:
     min_vertex_difference: int
 
 
-def _gcd_report(lg: LabeledGraph, vertices, edges) -> GcdReport:
-    summary = summarize_indices(lg)
-    vertex_diffs = _indices(
-        vertices, summary.vertex_deterministic_indices, lg.vertex_labels, "vertex"
-    )
-    edge_diffs = _indices(edges, summary.edge_deterministic_indices, lg.edge_labels, "edge")
-    vg = math.gcd(*vertex_diffs)
-    eg = math.gcd(*edge_diffs)
-    mn = min(vertex_diffs)
-    return GcdReport(ok=vg == eg == mn, vertex_gcd=vg, edge_gcd=eg, min_vertex_difference=mn)
-
-
 def check_gcd_invariant(lg: LabeledGraph) -> GcdReport:
     """gcd of vertex differences == gcd of edge differences == least vertex difference.
 
     The propagation argument behind this walks edges, so the graph must be
-    connected; use check_gcd_invariant_components for per-component reports.
+    connected.
     """
     if not lg.graph.is_connected():
-        raise DisconnectedGraphError(
-            "gcd invariant needs a connected graph; see check_gcd_invariant_components"
-        )
-    return _gcd_report(lg, lg.graph.vertices, lg.graph.edges)
-
-
-def check_gcd_invariant_components(lg: LabeledGraph) -> dict:
-    """Per-component gcd reports, keyed by each component's vertex tuple."""
-    out = {}
-    for comp in lg.graph.components():
-        members = set(comp)
-        edges = [e for e in lg.graph.edges if e[0] in members]
-        out[comp] = _gcd_report(lg, comp, edges)
-    return out
+        raise DisconnectedGraphError("gcd invariant needs a connected graph")
+    vertex_indices, edge_indices = _differences(lg)
+    vertex_diffs = _indices(vertex_indices, lg.vertex_labels, "vertex").values()
+    edge_diffs = _indices(edge_indices, lg.edge_labels, "edge").values()
+    vg = math.gcd(*vertex_diffs)
+    eg = math.gcd(*edge_diffs)
+    mn = min(vertex_diffs)
+    return GcdReport(ok=vg == eg == mn, vertex_gcd=vg, edge_gcd=eg, min_vertex_difference=mn)
 
 
 def check_singleton_endpoint_rule(lg: LabeledGraph) -> bool:

@@ -26,16 +26,14 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .classify import MIN_ARITHMETIC_LENGTH
-from .errors import SubgraphError
 from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
-from .sets import U64_MAX, APSet, _is_int
+from .sets import U64_MAX, APSet, _bounded_multiple, _is_int
 
 __all__ = [
     "ConstructionParams",
     "ConstructionResult",
     "construct_arbitrary",
     "construct_complete",
-    "restrict_labeling",
     "distinct_sum_sequence",
 ]
 
@@ -221,11 +219,7 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
             differences[v] = k * d
         else:
             top = max(diffs)
-            feasible = all(
-                top % differences[u] == 0 and top // differences[u] <= sizes[u]
-                for u in visited
-            )
-            if feasible:
+            if all(_bounded_multiple(differences[u], top, sizes[u]) for u in visited):
                 differences[v] = top
             else:
                 fallback_vertex = v
@@ -282,16 +276,3 @@ def construct_complete(part_sizes: tuple[int, int], d: int, k: int, sizes=3) -> 
     differences = {v: (d if i < r else k * d) for i, v in enumerate(vertices)}
     _, labels = _progression_labels(vertices, differences, dict(zip(vertices, sizes)))
     return LabeledGraph(graph, labels)
-
-
-def restrict_labeling(lg: LabeledGraph, h: Graph) -> LabeledGraph:
-    """Restrict a labeling to a subgraph; arithmetic-ness survives restriction."""
-    parent_vertices = set(lg.graph.vertices)
-    parent_edges = set(lg.graph.edges)
-    for v in h.vertices:
-        if v not in parent_vertices:
-            raise SubgraphError(f"vertex {v!r} is not in the labeled graph")
-    for e in h.edges:
-        if e not in parent_edges:
-            raise SubgraphError(f"edge {e} is not in the labeled graph")
-    return LabeledGraph(h, {v: lg.vertex_labels[v] for v in h.vertices})

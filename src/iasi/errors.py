@@ -51,10 +51,6 @@ class DisconnectedGraphError(IasiError):
     """An operation requiring a connected graph got a disconnected one."""
 
 
-class SubgraphError(IasiError):
-    """A claimed subgraph contains vertices or edges of no such parent."""
-
-
 class SchemaError(IasiError):
     """A document does not match the labeling-document schema.
 

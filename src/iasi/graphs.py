@@ -14,7 +14,7 @@ from itertools import combinations, islice, product
 from typing import Iterator
 
 from .errors import GraphValidationError, InvalidLabelingError
-from .sets import IntegerSet, detect_ap, sumset
+from .sets import IntegerSet, sumset
 
 __all__ = [
     "GraphViolation",
@@ -25,8 +25,6 @@ __all__ = [
     "complete_graph",
     "star_graph",
     "LabeledGraph",
-    "IndexSummary",
-    "summarize_indices",
 ]
 
 
@@ -152,10 +150,6 @@ class Graph:
     def has_edge(self, u, v) -> bool:
         return v in self._adjacency.get(u, ())
 
-    def components(self) -> list[tuple]:
-        """Connected components, each sorted, ordered by smallest vertex."""
-        return [tuple(sorted(c)) for c in _bfs_components(self.vertices, self.neighbors)]
-
     def is_connected(self) -> bool:
         return len(next(_bfs_components(self.vertices, self.neighbors))) == len(self.vertices)
 
@@ -202,9 +196,9 @@ class LabeledGraph:
     Edge labels are always the induced sumsets of the endpoint labels and
     are computed here once; there is no way to store anything else. The
     labeling need not be injective -- deciding that is the verifier's job.
-    Facts derived from the labels (the injectivity report, the index
-    summary, the classification report) are computed on first use by ``_fact``
-    and kept in ``_cache``.
+    Facts derived from the labels (the injectivity report, the common
+    differences, the classification report) are computed on first use by
+    ``_fact`` and kept in ``_cache``.
     """
 
     __slots__ = ("graph", "vertex_labels", "edge_labels", "_cache")
@@ -241,47 +235,3 @@ class LabeledGraph:
 
     def __repr__(self):
         return f"LabeledGraph({self.graph!r})"
-
-
-@dataclass(frozen=True)
-class IndexSummary:
-    """Cardinalities and common differences of every label in one place.
-
-    Deterministic indices (the common differences) are present exactly for
-    labels that are progressions of two or more elements; singletons and
-    non-progressions carry None.
-    """
-
-    vertex_indexing_numbers: dict
-    edge_indexing_numbers: dict
-    vertex_deterministic_indices: dict
-    edge_deterministic_indices: dict
-
-    def non_progression_edges(self) -> list:
-        """Edges whose label is not a progression, in canonical order.
-
-        Singletons carry no deterministic index but are progressions.
-        """
-        return [
-            e
-            for e, d in self.edge_deterministic_indices.items()
-            if d is None and self.edge_indexing_numbers[e] > 1
-        ]
-
-
-def summarize_indices(lg: LabeledGraph) -> IndexSummary:
-    """The labeling's index summary; progressions are detected once per labeled graph."""
-    return lg._fact("indices", _summarize)
-
-
-def _summarize(lg: LabeledGraph) -> IndexSummary:
-    return IndexSummary(
-        vertex_indexing_numbers={v: len(s) for v, s in lg.vertex_labels.items()},
-        edge_indexing_numbers={e: len(s) for e, s in lg.edge_labels.items()},
-        vertex_deterministic_indices={
-            v: getattr(detect_ap(s), "difference", None) for v, s in lg.vertex_labels.items()
-        },
-        edge_deterministic_indices={
-            e: getattr(detect_ap(s), "difference", None) for e, s in lg.edge_labels.items()
-        },
-    )

@@ -8,12 +8,14 @@ Document layout::
       "metadata": {"seed": 7, "...": "..."}
     }
 
-"labels" may be omitted for bare graphs (construction input). Unknown
-fields anywhere are rejected; label arrays must be ascending and are
-normalized with a warning when they are not. Serialization is canonical:
-the text depends only on the labeled graph and the metadata passed to the
-writer. ``load_document`` drops metadata, so re-saving a loaded document
-gives the same bytes only when the same metadata is passed back.
+"labels" may be omitted for bare graphs (construction input). Vertex names
+are nonempty strings that do not start with "-", so every name can be given
+to the command line's ``--edge`` and ``--vertex``. Unknown fields anywhere
+are rejected; label arrays must be ascending and are normalized with a
+warning when they are not. Serialization is canonical: the text depends
+only on the labeled graph and the metadata passed to the writer.
+``load_document`` drops metadata, so re-saving a loaded document gives the
+same bytes only when the same metadata is passed back.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 
-from .errors import SchemaError
+from .errors import GraphValidationError, SchemaError
 from .graphs import Graph, LabeledGraph
 from .sets import IntegerSet
 
@@ -64,21 +66,29 @@ def _parse_graph(doc) -> Graph:
     vertices = gobj["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) and v for v in vertices):
         raise SchemaError("vertices must be a list of nonempty strings", context="graph.vertices")
+    dashed = [v for v in vertices if v.startswith("-")]
+    if dashed:
+        raise SchemaError(f"vertex name {dashed[0]!r} starts with '-'", context="graph.vertices")
     edges = gobj["edges"]
     if not isinstance(edges, list):
         raise SchemaError("edges must be a list", context="graph.edges")
-    vset = set(vertices)
     parsed = []
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
             raise SchemaError("each edge must be a pair of strings", context=f"graph.edges[{i}]")
-        for x in e:
-            if x not in vset:
-                raise SchemaError(
-                    f"edge {e} names unknown vertex {x!r}", context=f"graph.edges[{i}]"
-                )
         parsed.append(tuple(e))
-    return Graph(vertices, parsed)
+    try:
+        return Graph(vertices, parsed)
+    except GraphValidationError as exc:
+        dangling = [v.element for v in exc.violations if v.kind == "dangling-endpoint"]
+        if not dangling:
+            raise
+        u, v = dangling[0]
+        unknown = u if u not in vertices else v
+        raise SchemaError(
+            f"edge {[u, v]} names unknown vertex {unknown!r}",
+            context=f"graph.edges[{parsed.index((u, v))}]",
+        ) from exc
 
 
 def _parse_labels(doc, graph: Graph) -> dict:

@@ -206,3 +206,13 @@ def predicted_edge_cardinality(m: int, n: int, k: int) -> int:
     if not 1 <= k <= m:
         raise ValueError(f"multiplier k={k} outside [1, m={m}]")
     return m + k * (n - 1)
+
+
+def _bounded_multiple(low: int, high: int, bound: int) -> bool:
+    """True when ``high`` = k * ``low`` for an integer k <= ``bound``.
+
+    For progressions with differences ``low`` <= ``high``, where ``bound`` is
+    the size of the ``low`` one, this is exactly when their sumset is again a
+    progression: the condition on k in predicted_edge_cardinality.
+    """
+    return high % low == 0 and high // low <= bound

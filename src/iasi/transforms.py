@@ -46,16 +46,16 @@ def _fresh_name(base: str, taken) -> str:
 
 def _edge_points(lg: LabeledGraph, taken) -> tuple[dict, list]:
     """Name a new point "(u,v)" per edge, avoiding ``taken``; join the points
-    of edges that share an endpoint."""
+    of each two edges at a shared endpoint (two distinct edges share at most one)."""
     names = {}
     taken = set(taken)
     for u, v in lg.graph.edges:
         names[(u, v)] = name = _fresh_name(f"({u},{v})", taken)
         taken.add(name)
     adjacent = [
-        _canonical_edge(names[e1], names[e2])
-        for e1, e2 in combinations(lg.graph.edges, 2)
-        if set(e1) & set(e2)
+        _canonical_edge(names[_canonical_edge(x, a)], names[_canonical_edge(x, b)])
+        for x in lg.graph.vertices
+        for a, b in combinations(lg.graph.neighbors(x), 2)
     ]
     return names, adjacent
 

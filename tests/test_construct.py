@@ -1,4 +1,4 @@
-"""Constructive labelers: arbitrary graphs, complete graphs, restriction."""
+"""Constructive labelers: arbitrary graphs and complete graphs."""
 
 import random
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from iasi import (
     ConstructionParams,
     Graph,
-    SubgraphError,
+    LabeledGraph,
     check_gcd_invariant,
     check_multiplier_condition,
     classify_arithmetic,
@@ -22,7 +22,6 @@ from iasi import (
     enumerate_connected_graphs,
     path_graph,
     predicted_edge_cardinality,
-    restrict_labeling,
     star_graph,
     verify_iasi,
 )
@@ -351,27 +350,13 @@ def test_complete_per_vertex_sizes():
 
 def test_restriction_preserves_arithmetic():
     lg = construct_complete((2, 2), d=1, k=2, sizes=3)
-    spanning_path = Graph(
-        ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]
-    )
-    restricted = restrict_labeling(lg, spanning_path)
+    spanning_path = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    restricted = LabeledGraph(spanning_path, lg.vertex_labels)
     assert_arithmetic(restricted)
-    assert restricted.vertex_labels["a"] == lg.vertex_labels["a"]
+    assert restricted.edge_labels == {e: lg.edge_labels[e] for e in spanning_path.edges}
 
 
 def test_restriction_to_single_edge():
     lg = construct_complete((2, 2), d=1, k=2, sizes=3)
-    restricted = restrict_labeling(lg, Graph(["a", "b"], [("a", "b")]))
-    assert_arithmetic(restricted)
-
-
-def test_restriction_rejects_foreign_elements():
-    lg = construct_complete((3, 0), d=1, k=1)
-    with pytest.raises(SubgraphError, match="x"):
-        restrict_labeling(lg, Graph(["a", "x"], [("a", "x")]))
-    with pytest.raises(SubgraphError):
-        # both vertices exist but the edge does not
-        restrict_labeling(
-            construct_arbitrary(path_graph(3), ConstructionParams()).labeled_graph,
-            Graph(["a", "c"], [("a", "c")]),
-        )
+    edge = Graph(["a", "b"], [("a", "b")])
+    assert_arithmetic(LabeledGraph(edge, {v: lg.vertex_labels[v] for v in edge.vertices}))

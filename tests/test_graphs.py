@@ -1,4 +1,4 @@
-"""Graph validation, labelings, induced edge labels, index summaries."""
+"""Graph validation, labelings, induced edge labels."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from iasi import (
     LabelOverflowError,
     U64_MAX,
     find_graph_violations,
-    summarize_indices,
 )
 
 
@@ -88,7 +87,6 @@ def test_has_edge_either_orientation_and_unknown_vertex():
 
 def test_components_and_connectivity():
     g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert g.components() == [("a", "b"), ("c", "d")]
     assert not g.is_connected()
     assert Graph(["a", "b"], [("a", "b")]).is_connected()
 
@@ -222,25 +220,3 @@ def test_induction_overflow_rejected():
     with pytest.raises(LabelOverflowError):
         LabeledGraph(g, {"u": {U64_MAX}, "v": {2}})
 
-
-# ------------------------------------------------------------ IndexSummary
-
-
-def test_summarize_indices_frozen_example():
-    g = Graph(["u", "v"], [("u", "v")])
-    lg = LabeledGraph(g, {"u": {0, 2, 4}, "v": {1, 3, 5}})
-    summary = summarize_indices(lg)
-    assert summary.vertex_indexing_numbers == {"u": 3, "v": 3}
-    assert summary.edge_indexing_numbers == {("u", "v"): 5}
-    assert summary.vertex_deterministic_indices == {"u": 2, "v": 2}
-    assert summary.edge_deterministic_indices == {("u", "v"): 2}
-
-
-def test_summarize_indices_sentinels():
-    g = Graph(["u", "v"], [("u", "v")])
-    lg = LabeledGraph(g, {"u": {7}, "v": {0, 1, 5}})
-    summary = summarize_indices(lg)
-    # singleton and non-progression both surface as None
-    assert summary.vertex_deterministic_indices == {"u": None, "v": None}
-    # {7}+{0,1,5} = {7,8,12}: not a progression either
-    assert summary.edge_deterministic_indices == {("u", "v"): None}

@@ -100,6 +100,12 @@ def test_load_graph_ignores_labels(tmp_path):
         ({"graph": {"vertices": ["a", ""], "edges": []}}, "graph.vertices"),
         ({"graph": {"vertices": ["a", "b"], "edges": [["a"]]}}, "graph.edges[0]"),
         ({"graph": {"vertices": ["a", "b"], "edges": [["a", "c"]]}}, "graph.edges[0]"),
+        # a duplicate vertex does not hide the unknown endpoint of the second edge
+        (
+            {"graph": {"vertices": ["a", "a", "b"], "edges": [["a", "b"], ["b", "c"]]}},
+            "graph.edges[1]",
+        ),
+        ({"graph": {"vertices": ["a", "-b"], "edges": [["a", "-b"]]}}, "graph.vertices"),
     ],
 )
 def test_schema_errors_name_the_field(tmp_path, payload, context):
@@ -570,6 +576,16 @@ def test_cli_construct_rejects_empty_graph(tmp_path, capsys):
     code, payload, err = run_cli(capsys, "construct", "--input", src, "--output", str(out))
     assert code == 2 and payload is None
     assert err == "error: invalid graph: empty-graph at ()\n"
+    assert not out.exists()
+
+
+def test_cli_rejects_vertex_name_starting_with_dash(tmp_path, capsys):
+    """Such a name could not be given to --edge or --vertex."""
+    src = write_doc(tmp_path, {"graph": {"vertices": ["a", "-b"], "edges": [["a", "-b"]]}})
+    out = tmp_path / "out.json"
+    code, payload, err = run_cli(capsys, "construct", "--input", src, "--output", str(out))
+    assert code == 2 and payload is None
+    assert err == "error: graph.vertices: vertex name '-b' starts with '-'\n"
     assert not out.exists()
 
 

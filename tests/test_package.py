@@ -31,16 +31,21 @@ def test_package_imports_only_stdlib_and_itself():
 
 
 def test_package_exports_are_listed_in_each_submodule_all():
+    """``iasi`` exports exactly the names in its submodules' ``__all__``."""
     init = Path(iasi.__file__)
     unlisted = []
+    unexported = []
     for node in ast.parse(init.read_text(encoding="utf-8")).body:
         if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
             continue
         exported = getattr(importlib.import_module(f"iasi.{node.module}"), "__all__", None)
         if exported is None:
             continue
-        unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+        imported = [a.name for a in node.names]
+        unlisted += [f"{node.module}.{name}" for name in imported if name not in exported]
+        unexported += [f"{node.module}.{name}" for name in exported if name not in imported]
     assert unlisted == []
+    assert unexported == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

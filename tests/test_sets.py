@@ -19,6 +19,7 @@ from iasi import (
     predicted_edge_cardinality,
     sumset,
 )
+from iasi.sets import _bounded_multiple
 
 
 def brute_sumset(a, b):
@@ -247,6 +248,7 @@ def test_bounded_multiple_difference_sumset(a, b, d, m, n, data):
     assert len(s) == predicted_edge_cardinality(m, n, k) == m + k * (n - 1)
     assert len(brute_sumset(A, B)) == m + k * (n - 1)
     assert detect_ap(s).difference == d
+    assert _bounded_multiple(d, k * d, m) == (detect_ap(s) is not None)
 
 
 @given(
@@ -259,6 +261,7 @@ def test_excessive_multiplier_breaks_ap(a, b, d, m, n, data):
     A = APSet(a, d, m).expand()
     B = APSet(b, k * d, n).expand()
     assert detect_ap(sumset(A, B)) is None
+    assert _bounded_multiple(d, k * d, m) == (detect_ap(sumset(A, B)) is not None)
 
 
 @given(
@@ -272,6 +275,7 @@ def test_non_multiple_difference_breaks_ap(a, b, di, dj, m, n):
     A = APSet(a, di, m).expand()
     B = APSet(b, dj, n).expand()
     assert detect_ap(sumset(A, B)) is None
+    assert _bounded_multiple(di, dj, m) == (detect_ap(sumset(A, B)) is not None)
 
 
 @given(
