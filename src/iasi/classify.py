@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DisconnectedGraphError, LabelCollisionError, NotArithmeticError
 from .graphs import LabeledGraph
-from .sets import _bounded_multiple, detect_ap
+from .sets import _bounded_multiple, _difference
 
 __all__ = [
     "Collision",
@@ -116,16 +116,16 @@ def _differences(lg: LabeledGraph) -> tuple[dict, dict]:
     """Each vertex's and each edge's common difference (deterministic index).
 
     A label has one exactly when it is a progression of two or more
-    elements; singletons and non-progressions carry None. Progressions are
-    detected once per labeled graph.
+    elements; singletons and non-progressions carry None. Each difference
+    is read from its label's type, once per labeled graph.
     """
     return lg._fact("differences", _detect_differences)
 
 
 def _detect_differences(lg: LabeledGraph) -> tuple[dict, dict]:
     return (
-        {v: getattr(detect_ap(s), "difference", None) for v, s in lg.vertex_labels.items()},
-        {e: getattr(detect_ap(s), "difference", None) for e, s in lg.edge_labels.items()},
+        {v: _difference(s) for v, s in lg.vertex_labels.items()},
+        {e: _difference(s) for e, s in lg.edge_labels.items()},
     )
 
 

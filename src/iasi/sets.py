@@ -45,12 +45,18 @@ class IntegerSet(tuple):
     need nonempty operands, not by the type). The constructor is the one
     place elements are checked: an IntegerSet argument is returned as is,
     and the package's own operations build their results unchecked.
+
+    A nonempty set whose elements form a progression (singletons and pairs
+    included) is an instance of the private subclass ``_Progression``, and
+    no other set is; every constructor in this module keeps that rule. So a
+    label's progression facts are read in O(1): first term ``s[0]``,
+    difference ``s[1] - s[0]``, length ``len(s)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, elements=()):
-        if type(elements) is cls:
+        if isinstance(elements, IntegerSet):
             return elements
         seen = set()
         for e in elements:
@@ -61,15 +67,34 @@ class IntegerSet(tuple):
             if e > U64_MAX:
                 raise LabelOverflowError(f"element {e} exceeds the 64-bit range")
             seen.add(e)
-        return tuple.__new__(cls, sorted(seen))
+        return _unchecked(seen)
 
     def __repr__(self):
         return "IntegerSet({%s})" % ", ".join(str(e) for e in self)
 
 
+class _Progression(IntegerSet):
+    """An IntegerSet whose elements form a progression."""
+
+    __slots__ = ()
+
+
 def _unchecked(elements) -> IntegerSet:
-    """An IntegerSet of integers already known to be in range."""
-    return tuple.__new__(IntegerSet, sorted(set(elements)))
+    """An IntegerSet of integers already known to be in range, typed by its shape."""
+    ordered = sorted(set(elements))
+    n = len(ordered)
+    if n > 2:
+        first, last, d = ordered[0], ordered[-1], ordered[1] - ordered[0]
+        # the span test first, so the range below never outgrows the set
+        progression = last - first == (n - 1) * d and ordered == list(range(first, last + 1, d))
+    else:
+        progression = n > 0
+    return tuple.__new__(_Progression if progression else IntegerSet, ordered)
+
+
+def _difference(label: IntegerSet) -> int | None:
+    """A label's common difference: set for a progression of two or more elements, else None."""
+    return label[1] - label[0] if type(label) is _Progression and len(label) > 1 else None
 
 
 @dataclass(frozen=True)
@@ -103,13 +128,16 @@ class APSet:
     def expand(self) -> IntegerSet:
         """The progression as an IntegerSet."""
         d = self.difference or 1
-        return _unchecked(range(self.first, self.first + self.length * d, d))
+        return tuple.__new__(_Progression, range(self.first, self.first + self.length * d, d))
 
 
 def _operands(a, b, what: str) -> tuple[IntegerSet, IntegerSet]:
-    """Check two nonempty operands whose largest sum stays in the 64-bit range."""
-    a = IntegerSet(a)
-    b = IntegerSet(b)
+    """Check two nonempty operands whose largest sum stays in the 64-bit range.
+
+    Checked sets skip the constructor call: ``sumset`` runs this once per edge.
+    """
+    a = a if isinstance(a, IntegerSet) else IntegerSet(a)
+    b = b if isinstance(b, IntegerSet) else IntegerSet(b)
     if not a or not b:
         raise ValueError(f"{what} requires nonempty operands")
     if a[-1] + b[-1] > U64_MAX:
@@ -122,9 +150,24 @@ def _operands(a, b, what: str) -> tuple[IntegerSet, IntegerSet]:
 def sumset(a, b) -> IntegerSet:
     """Pointwise sums of two nonempty integer sets.
 
-    |A+B| is at least max(|A|, |B|) and at most |A|*|B|.
+    |A+B| is at least max(|A|, |B|) and at most |A|*|B|. When A and B are
+    progressions with differences d and k*d, 1 <= k <= |A|, A+B is the
+    progression with difference d that starts at min A + min B and has
+    |A| + k(|B|-1) terms, and it is built in that closed form; a singleton
+    operand shifts the other one. Every other sumset is summed exactly.
     """
     a, b = _operands(a, b, "sumset")
+    if len(a) == 1 or len(b) == 1:
+        point, other = (a, b) if len(a) == 1 else (b, a)
+        return tuple.__new__(type(other), [point[0] + x for x in other])
+    if type(a) is _Progression and type(b) is _Progression:
+        if b[1] - b[0] < a[1] - a[0]:
+            a, b = b, a
+        d, high = a[1] - a[0], b[1] - b[0]
+        if _bounded_multiple(d, high, len(a)):
+            first = a[0] + b[0]
+            length = _edge_cardinality(len(a), len(b), high // d)
+            return tuple.__new__(_Progression, range(first, first + length * d, d))
     return _unchecked(x + y for x in a for y in b)
 
 
@@ -132,18 +175,15 @@ def detect_ap(s) -> APSet | None:
     """Return the unique progression matching ``s``, or None.
 
     Singletons are degenerate progressions (difference sentinel None); a
-    two-element set is the progression with difference max - min.
+    two-element set is the progression with difference max - min. The
+    answer is read from the set's type.
     """
     s = IntegerSet(s)
     if not s:
         raise ValueError("cannot detect a progression in the empty set")
-    if len(s) == 1:
-        return APSet(s[0], None, 1)
-    d = s[1] - s[0]
-    for prev, cur in zip(s, s[1:]):
-        if cur - prev != d:
-            return None
-    return APSet(s[0], d, len(s))
+    if type(s) is not _Progression:
+        return None
+    return APSet(s[0], _difference(s), len(s))
 
 
 @dataclass(frozen=True)
@@ -205,6 +245,11 @@ def predicted_edge_cardinality(m: int, n: int, k: int) -> int:
         raise ValueError(f"cardinalities must be positive, got m={m}, n={n}")
     if not 1 <= k <= m:
         raise ValueError(f"multiplier k={k} outside [1, m={m}]")
+    return _edge_cardinality(m, n, k)
+
+
+def _edge_cardinality(m: int, n: int, k: int) -> int:
+    """|A+B| for progressions of m and n terms with differences d and k*d, 1 <= k <= m."""
     return m + k * (n - 1)
 
 

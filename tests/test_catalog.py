@@ -191,6 +191,13 @@ def test_catalog_stream_is_pinned(tmp_path):
     assert digest == "8009e3ecbba9873911d3a5cd1d596293f0344dc669c8080231e4e2a29a7fc505"
 
 
+def test_catalog_n5_stream_is_pinned(tmp_path):
+    path = tmp_path / "records.jsonl"
+    run_catalog_checks(5, ("fixed", "random", "maximal"), seed=0, records_path=path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "7bcd68ef3f9cd0ed137638b1bfc167cee985adc744fe7b369d8010042d79b5d6"
+
+
 def test_catalog_small_sweep_fixed_policy(tmp_path):
     records, summary = sweep(tmp_path, 3, policies=("fixed",), seed=0)
     assert summary["graphs"] == 5

@@ -5,6 +5,10 @@ internals: plain nested loops and set literals, so a bug in the package
 cannot hide in the expectations.
 """
 
+import copy
+import pickle
+from unittest.mock import patch
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,8 @@ from iasi import (
     predicted_edge_cardinality,
     sumset,
 )
-from iasi.sets import _bounded_multiple
+from iasi import sets as sets_module
+from iasi.sets import _bounded_multiple, _Progression
 
 
 def brute_sumset(a, b):
@@ -28,6 +33,12 @@ def brute_sumset(a, b):
         for y in b:
             out.add(x + y)
     return sorted(out)
+
+
+def _is_progression(elements) -> bool:
+    """Brute force: nonempty, and every gap between sorted neighbours is the same."""
+    s = sorted(elements)
+    return bool(s) and len({y - x for x, y in zip(s, s[1:])}) <= 1
 
 
 small_sets = st.sets(st.integers(min_value=0, max_value=200), min_size=1, max_size=8)
@@ -229,10 +240,10 @@ def test_equal_difference_sumset_is_ap(a, b, d, m, n):
     """Same common difference: A+B is a progression of m+n-1 terms, same d."""
     A = APSet(a, d if m > 1 else None, m).expand()
     B = APSet(b, d if n > 1 else None, n).expand()
-    s = sumset(A, B)
+    s = brute_sumset(A, B)
     assert len(s) == m + n - 1
     if len(s) > 1:
-        assert detect_ap(s).difference == d
+        assert _is_progression(s) and s[1] - s[0] == d
 
 
 @given(
@@ -244,11 +255,10 @@ def test_bounded_multiple_difference_sumset(a, b, d, m, n, data):
     k = data.draw(st.integers(1, m), label="k")
     A = APSet(a, d, m).expand()
     B = APSet(b, k * d, n).expand()
-    s = sumset(A, B)
+    s = brute_sumset(A, B)
     assert len(s) == predicted_edge_cardinality(m, n, k) == m + k * (n - 1)
-    assert len(brute_sumset(A, B)) == m + k * (n - 1)
-    assert detect_ap(s).difference == d
-    assert _bounded_multiple(d, k * d, m) == (detect_ap(s) is not None)
+    assert _is_progression(s) and s[1] - s[0] == d
+    assert _bounded_multiple(d, k * d, m) == _is_progression(s)
 
 
 @given(
@@ -260,8 +270,8 @@ def test_excessive_multiplier_breaks_ap(a, b, d, m, n, data):
     k = data.draw(st.integers(m + 1, m + 6), label="k")
     A = APSet(a, d, m).expand()
     B = APSet(b, k * d, n).expand()
-    assert detect_ap(sumset(A, B)) is None
-    assert _bounded_multiple(d, k * d, m) == (detect_ap(sumset(A, B)) is not None)
+    assert not _is_progression(brute_sumset(A, B))
+    assert _bounded_multiple(d, k * d, m) == _is_progression(brute_sumset(A, B))
 
 
 @given(
@@ -274,8 +284,8 @@ def test_non_multiple_difference_breaks_ap(a, b, di, dj, m, n):
     assume(dj > di and dj % di != 0)
     A = APSet(a, di, m).expand()
     B = APSet(b, dj, n).expand()
-    assert detect_ap(sumset(A, B)) is None
-    assert _bounded_multiple(di, dj, m) == (detect_ap(sumset(A, B)) is not None)
+    assert not _is_progression(brute_sumset(A, B))
+    assert _bounded_multiple(di, dj, m) == _is_progression(brute_sumset(A, B))
 
 
 @given(
@@ -286,7 +296,96 @@ def test_maximal_multiplier_reaches_product(a, b, d, m, n):
     """k = m saturates: |A+B| = m*n, the strong case."""
     A = APSet(a, d, m).expand()
     B = APSet(b, m * d, n).expand()
-    assert len(sumset(A, B)) == m * n
+    assert len(brute_sumset(A, B)) == m * n
+
+
+# The lemma in closed form, against the brute-force sum. Bases reach the
+# middle of the 64-bit range, and past it, where every sum overflows.
+_BASES = (0, U64_MAX // 2 - 1000, U64_MAX // 2 + 1)
+
+
+@st.composite
+def _progression_pairs(draw):
+    """Progressions A, B with differences d and some h, in either order.
+
+    h is k*d for k = 1, |A| (the boundary), |A|+1 or any k up to |A|+3,
+    or an arbitrary difference (mostly not a multiple); lengths reach 1.
+    """
+    base = draw(st.sampled_from(_BASES), label="base")
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    d = draw(st.integers(1, 9))
+    k = draw(st.one_of(st.just(1), st.just(m), st.just(m + 1), st.integers(1, m + 3)))
+    h = draw(st.one_of(st.just(k * d), st.integers(1, 40)))
+    a0, b0 = base + draw(st.integers(0, 50)), base + draw(st.integers(0, 50))
+    pair = [list(range(a0, a0 + m * d, d)), list(range(b0, b0 + n * h, h))]
+    if draw(st.booleans()):
+        pair.reverse()
+    return pair
+
+
+@settings(max_examples=500)
+@given(_progression_pairs())
+def test_closed_form_sumset_matches_brute_force(pair):
+    A, B = pair
+    if A[-1] + B[-1] > U64_MAX:
+        with pytest.raises(LabelOverflowError):
+            sumset(A, B)
+        return
+    a, b = IntegerSet(A), IntegerSet(B)
+    with patch.object(sets_module, "_unchecked", wraps=sets_module._unchecked) as exact:
+        s = sumset(a, b)
+    expected = brute_sumset(A, B)
+    assert list(s) == expected
+    assert (type(s) is _Progression) == _is_progression(expected)
+    # two progressions sum to one exactly when the lemma applies, and only
+    # the other pairs are summed element by element
+    assert exact.called == (not _is_progression(expected))
+
+
+_HALF = U64_MAX // 2 + 1  # _HALF + _HALF == U64_MAX + 1
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (range(_HALF - 4, _HALF), range(_HALF - 4, _HALF + 4, 2)),  # closed form
+        ([_HALF - 9, _HALF - 8, _HALF], [_HALF - 5, _HALF]),  # exact sum
+        ([_HALF], [_HALF - 3, _HALF - 1, _HALF]),  # singleton shift
+    ],
+)
+def test_sumset_overflow_on_every_path(a, b):
+    with pytest.raises(LabelOverflowError):
+        sumset(a, b)
+
+
+# -------------------------------------------------- the progression subclass
+
+
+@given(st.one_of(small_sets, progression_sets))
+def test_label_type_marks_progressions_at_every_constructor(s):
+    label = IntegerSet(s)
+    expected = _is_progression(s)
+    assert (type(label) is _Progression) == expected
+    assert IntegerSet(label) is label
+    assert repr(label) == "IntegerSet({%s})" % ", ".join(str(e) for e in sorted(s))
+    plain = tuple(sorted(s))
+    assert label == plain and hash(label) == hash(plain)
+    for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):
+        assert type(twin) is type(label) and twin == label
+    if expected:
+        gap = plain[1] - plain[0] if len(plain) > 1 else None
+        expanded = APSet(plain[0], gap, len(plain)).expand()
+        assert type(expanded) is _Progression and expanded == label
+
+
+@given(small_sets, st.one_of(small_sets, progression_sets))
+def test_sumset_fallback_types_its_result(a, b):
+    s = sumset(a, b)
+    assert (type(s) is _Progression) == _is_progression(brute_sumset(a, b))
+
+
+def test_empty_set_is_not_a_progression():
+    assert type(IntegerSet()) is IntegerSet
 
 
 # --------------------------------------------- predicted_edge_cardinality
