@@ -132,7 +132,7 @@ def _pass_or_fail(ok: bool) -> str:
 
 def _k3_three_index(graph: Graph):
     differences = {"a": 1, "b": 2, "c": 4}
-    _, labels = _progression_labels(graph.vertices, differences, dict.fromkeys(graph.vertices, 4))
+    labels = _progression_labels(graph.vertices, differences, dict.fromkeys(graph.vertices, 4))
     report = classify_arithmetic(LabeledGraph(graph, labels))
     if report.is_iasi and report.arithmetic:
         return "discrepancy", {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DisconnectedGraphError, LabelCollisionError, NotArithmeticError
 from .graphs import LabeledGraph
-from .sets import _bounded_multiple, _difference
+from .sets import APSet, _bounded_multiple, _difference
 
 __all__ = [
     "Collision",
@@ -112,26 +112,9 @@ def _verify(lg: LabeledGraph) -> InjectivityReport:
     return InjectivityReport(is_iasi=collision is None, collision=collision)
 
 
-def _differences(lg: LabeledGraph) -> tuple[dict, dict]:
-    """Each vertex's and each edge's common difference (deterministic index).
-
-    A label has one exactly when it is a progression of two or more
-    elements; singletons and non-progressions carry None. Each difference
-    is read from its label's type, once per labeled graph.
-    """
-    return lg._fact("differences", _detect_differences)
-
-
-def _detect_differences(lg: LabeledGraph) -> tuple[dict, dict]:
-    return (
-        {v: _difference(s) for v, s in lg.vertex_labels.items()},
-        {e: _difference(s) for e, s in lg.edge_labels.items()},
-    )
-
-
 def _non_progression_edges(lg: LabeledGraph) -> list:
     """Edges whose label is not a progression (singletons are), in canonical order."""
-    return [e for e, d in _differences(lg)[1].items() if d is None and len(lg.edge_labels[e]) > 1]
+    return [e for e, s in lg.edge_labels.items() if type(s) is not APSet]
 
 
 @dataclass(frozen=True)
@@ -208,8 +191,7 @@ def _classify(lg: LabeledGraph) -> ClassificationReport:
     injectivity = verify_iasi(lg)
     uniform_k, vertex_uniform_l = check_uniformity(lg)
     vertex_arithmetic = all(
-        d is not None and len(lg.vertex_labels[v]) >= MIN_ARITHMETIC_LENGTH
-        for v, d in _differences(lg)[0].items()
+        type(s) is APSet and len(s) >= MIN_ARITHMETIC_LENGTH for s in lg.vertex_labels.values()
     )
     non_ap_edges = _non_progression_edges(lg)
     edge_arithmetic = not non_ap_edges
@@ -254,17 +236,21 @@ class MultiplierReport:
     violations: tuple
 
 
-def _indices(indices: dict, labels: dict, kind: str) -> dict:
-    """``indices`` itself when every label has a deterministic index.
+def _indices(labels: dict, kind: str) -> dict:
+    """Each label's common difference (deterministic index).
 
-    Otherwise NotArithmeticError names the first label without one.
+    A label has one exactly when it is a progression of two or more
+    elements; otherwise NotArithmeticError names the first label without one.
     """
-    for x, d in indices.items():
+    indices = {}
+    for x, label in labels.items():
+        d = _difference(label)
         if d is None:
             raise NotArithmeticError(
-                f"{kind} {x!r} has no deterministic index: label {_braced(labels[x])} is "
+                f"{kind} {x!r} has no deterministic index: label {_braced(label)} is "
                 "not a progression of two or more elements"
             )
+        indices[x] = d
     return indices
 
 
@@ -276,7 +262,7 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
     1 <= k <= |label of the d_low endpoint|. Requires every vertex label to
     have a deterministic index.
     """
-    diffs = _indices(_differences(lg)[0], lg.vertex_labels, "vertex")
+    diffs = _indices(lg.vertex_labels, "vertex")
     violations = []
     for u, v in lg.graph.edges:
         low_vertex, high_vertex = (u, v) if diffs[u] <= diffs[v] else (v, u)
@@ -304,9 +290,8 @@ def check_gcd_invariant(lg: LabeledGraph) -> GcdReport:
     """
     if not lg.graph.is_connected():
         raise DisconnectedGraphError("gcd invariant needs a connected graph")
-    vertex_indices, edge_indices = _differences(lg)
-    vertex_diffs = _indices(vertex_indices, lg.vertex_labels, "vertex").values()
-    edge_diffs = _indices(edge_indices, lg.edge_labels, "edge").values()
+    vertex_diffs = _indices(lg.vertex_labels, "vertex").values()
+    edge_diffs = _indices(lg.edge_labels, "edge").values()
     vg = math.gcd(*vertex_diffs)
     eg = math.gcd(*edge_diffs)
     mn = min(vertex_diffs)

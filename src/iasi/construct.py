@@ -56,6 +56,8 @@ def distinct_sum_sequence(count: int) -> list[int]:
     different sequences, so a longer result need not extend a shorter one
     across the switch.
     """
+    if not _is_int(count):
+        raise TypeError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError("count must be non-negative")
     if count > _GREEDY_TERMS:
@@ -128,17 +130,13 @@ class ConstructionResult:
     """
 
     labeled_graph: LabeledGraph
-    differences: dict
-    sizes: dict
-    offsets: dict
     fallback_applied: bool = False
     fallback_vertex: str | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
-def _progression_labels(order, differences: dict, sizes: dict):
-    """Vertex v's label: ``sizes[v]`` terms with difference ``differences[v]``;
-    returns (offsets, labels).
+def _progression_labels(order, differences: dict, sizes: dict) -> dict:
+    """Vertex v's label: ``sizes[v]`` terms with difference ``differences[v]``.
 
     The i-th vertex of ``order`` starts at the i-th distinct-sum term times a
     stride wider than twice the largest label span, which keeps every vertex
@@ -146,9 +144,8 @@ def _progression_labels(order, differences: dict, sizes: dict):
     constructor uses.
     """
     stride = 2 * max((sizes[v] - 1) * differences[v] for v in order) + 1
-    offsets = {v: f * stride for v, f in zip(order, distinct_sum_sequence(len(order)))}
-    labels = {v: APSet(offsets[v], differences[v], sizes[v]).expand() for v in order}
-    return offsets, labels
+    firsts = distinct_sum_sequence(len(order))
+    return {v: APSet(f * stride, differences[v], sizes[v]) for v, f in zip(order, firsts)}
 
 
 def _difference_budget(count: int, max_size: int) -> int:
@@ -190,7 +187,7 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     With a base difference within the budget the result is always an
     arithmetic set-indexer. The only errors are the input checks of Graph
     and ConstructionParams, and LabelOverflowError for a base difference
-    beyond the budget. ``offsets`` in the result reports the layout used.
+    beyond the budget. Each label's ``first`` reports the layout used.
     """
     # breadth-first from the smallest vertex of each component
     order = [v for comp in _bfs_components(graph.vertices, graph.neighbors) for v in comp]
@@ -228,12 +225,9 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
         differences = {v: params.base_difference for v in order}
         capped = []
 
-    offsets, labels = _progression_labels(order, differences, sizes)
+    labels = _progression_labels(order, differences, sizes)
     return ConstructionResult(
         labeled_graph=LabeledGraph(graph, labels),
-        differences=differences,
-        sizes=sizes,
-        offsets=offsets,
         fallback_applied=fallback_vertex is not None,
         fallback_vertex=fallback_vertex,
         diagnostics={"traversal": tuple(order), "capped": tuple(capped)},
@@ -274,5 +268,5 @@ def construct_complete(part_sizes: tuple[int, int], d: int, k: int, sizes=3) -> 
 
     vertices = graph.vertices
     differences = {v: (d if i < r else k * d) for i, v in enumerate(vertices)}
-    _, labels = _progression_labels(vertices, differences, dict(zip(vertices, sizes)))
+    labels = _progression_labels(vertices, differences, dict(zip(vertices, sizes)))
     return LabeledGraph(graph, labels)

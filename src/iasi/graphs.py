@@ -196,9 +196,9 @@ class LabeledGraph:
     Edge labels are always the induced sumsets of the endpoint labels and
     are computed here once; there is no way to store anything else. The
     labeling need not be injective -- deciding that is the verifier's job.
-    Facts derived from the labels (the injectivity report, the common
-    differences, the classification report) are computed on first use by
-    ``_fact`` and kept in ``_cache``.
+    Facts derived from the labels (the injectivity report, the
+    classification report) are computed on first use by ``_fact`` and kept
+    in ``_cache``.
     """
 
     __slots__ = ("graph", "vertex_labels", "edge_labels", "_cache")

@@ -46,11 +46,8 @@ class IntegerSet(tuple):
     place elements are checked: an IntegerSet argument is returned as is,
     and the package's own operations build their results unchecked.
 
-    A nonempty set whose elements form a progression (singletons and pairs
-    included) is an instance of the private subclass ``_Progression``, and
-    no other set is; every constructor in this module keeps that rule. So a
-    label's progression facts are read in O(1): first term ``s[0]``,
-    difference ``s[1] - s[0]``, length ``len(s)``.
+    A nonempty set whose elements form a progression is an ``APSet``, so a
+    label's progression facts are read from it in O(1).
     """
 
     __slots__ = ()
@@ -73,10 +70,49 @@ class IntegerSet(tuple):
         return "IntegerSet({%s})" % ", ".join(str(e) for e in self)
 
 
-class _Progression(IntegerSet):
-    """An IntegerSet whose elements form a progression."""
+class APSet(IntegerSet):
+    """A nonempty IntegerSet whose elements form an arithmetic progression.
+
+    Every such set is an APSet (singletons and pairs included) and no other
+    set is; every constructor in this module keeps that rule. The public
+    constructor builds {first + i*difference : 0 <= i < length}. Its facts
+    are read from the elements: ``first``, ``difference`` and ``length``.
+    A singleton has no usable common difference; it carries ``difference``
+    None, and any attempt to compare or do arithmetic with that sentinel
+    fails loudly (TypeError) rather than acting like zero.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, first: int, difference: int | None, length: int):
+        if not _is_int(first) or first < 0:
+            raise ValueError(f"first term must be a non-negative integer, got {first!r}")
+        if not _is_int(length) or length < 1:
+            raise ValueError(f"length must be a positive integer, got {length!r}")
+        if length == 1:
+            if difference is not None:
+                raise ValueError("a singleton progression has no common difference")
+        elif not _is_int(difference) or difference < 1:
+            raise ValueError(f"common difference must be a positive integer, got {difference!r}")
+        d = difference or 1
+        if first + (length - 1) * d > U64_MAX:
+            raise LabelOverflowError("progression exceeds the 64-bit range")
+        return tuple.__new__(APSet, range(first, first + length * d, d))
+
+    def __getnewargs__(self):
+        return self.first, self.difference, self.length
+
+    @property
+    def first(self) -> int:
+        return self[0]
+
+    @property
+    def difference(self) -> int | None:
+        return self[1] - self[0] if len(self) > 1 else None
+
+    @property
+    def length(self) -> int:
+        return len(self)
 
 
 def _unchecked(elements) -> IntegerSet:
@@ -89,46 +125,12 @@ def _unchecked(elements) -> IntegerSet:
         progression = last - first == (n - 1) * d and ordered == list(range(first, last + 1, d))
     else:
         progression = n > 0
-    return tuple.__new__(_Progression if progression else IntegerSet, ordered)
+    return tuple.__new__(APSet if progression else IntegerSet, ordered)
 
 
 def _difference(label: IntegerSet) -> int | None:
-    """A label's common difference: set for a progression of two or more elements, else None."""
-    return label[1] - label[0] if type(label) is _Progression and len(label) > 1 else None
-
-
-@dataclass(frozen=True)
-class APSet:
-    """An arithmetic progression {first + i*difference : 0 <= i < length}.
-
-    A singleton has no usable common difference; it carries ``difference``
-    None, and any attempt to compare or do arithmetic with that sentinel
-    fails loudly (TypeError) rather than acting like zero.
-    """
-
-    first: int
-    difference: int | None
-    length: int
-
-    def __post_init__(self):
-        if not _is_int(self.first) or self.first < 0:
-            raise ValueError(f"first term must be a non-negative integer, got {self.first!r}")
-        if not _is_int(self.length) or self.length < 1:
-            raise ValueError(f"length must be a positive integer, got {self.length!r}")
-        if self.length == 1:
-            if self.difference is not None:
-                raise ValueError("a singleton progression has no common difference")
-        elif not _is_int(self.difference) or self.difference < 1:
-            raise ValueError(
-                f"common difference must be a positive integer, got {self.difference!r}"
-            )
-        if self.first + (self.length - 1) * (self.difference or 0) > U64_MAX:
-            raise LabelOverflowError("progression exceeds the 64-bit range")
-
-    def expand(self) -> IntegerSet:
-        """The progression as an IntegerSet."""
-        d = self.difference or 1
-        return tuple.__new__(_Progression, range(self.first, self.first + self.length * d, d))
+    """A label's common difference: an APSet's (None for a singleton), else None."""
+    return label.difference if type(label) is APSet else None
 
 
 def _operands(a, b, what: str) -> tuple[IntegerSet, IntegerSet]:
@@ -160,30 +162,28 @@ def sumset(a, b) -> IntegerSet:
     if len(a) == 1 or len(b) == 1:
         point, other = (a, b) if len(a) == 1 else (b, a)
         return tuple.__new__(type(other), [point[0] + x for x in other])
-    if type(a) is _Progression and type(b) is _Progression:
+    if type(a) is APSet and type(b) is APSet:
         if b[1] - b[0] < a[1] - a[0]:
             a, b = b, a
         d, high = a[1] - a[0], b[1] - b[0]
         if _bounded_multiple(d, high, len(a)):
             first = a[0] + b[0]
             length = _edge_cardinality(len(a), len(b), high // d)
-            return tuple.__new__(_Progression, range(first, first + length * d, d))
+            return tuple.__new__(APSet, range(first, first + length * d, d))
     return _unchecked(x + y for x in a for y in b)
 
 
 def detect_ap(s) -> APSet | None:
-    """Return the unique progression matching ``s``, or None.
+    """The progression ``s`` is, or None.
 
     Singletons are degenerate progressions (difference sentinel None); a
     two-element set is the progression with difference max - min. The
-    answer is read from the set's type.
+    answer is the checked set itself when its type says it is an APSet.
     """
     s = IntegerSet(s)
     if not s:
         raise ValueError("cannot detect a progression in the empty set")
-    if type(s) is not _Progression:
-        return None
-    return APSet(s[0], _difference(s), len(s))
+    return s if type(s) is APSet else None
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from iasi import (
     sumset,
     verify_iasi,
 )
+from iasi.sets import _difference
 
 
 def p2(a, b):
@@ -286,12 +287,13 @@ def test_gcd_requires_deterministic_indices():
         check_gcd_invariant(p2({0, 1, 3}, {0, 2, 4}))
 
 
-# ------------------------------------------------------- cached label facts
+# -------------------------------------------------------------- label facts
 
 
 def test_label_differences_frozen_example():
     lg = p2({0, 2, 4}, {1, 3, 5})
-    vertex_diffs, edge_diffs = classify_module._differences(lg)
+    vertex_diffs = {v: _difference(s) for v, s in lg.vertex_labels.items()}
+    edge_diffs = {e: _difference(s) for e, s in lg.edge_labels.items()}
     assert vertex_diffs == {"u": 2, "v": 2}
     assert edge_diffs == {("u", "v"): 2}
     assert classify_module._non_progression_edges(lg) == []
@@ -299,7 +301,8 @@ def test_label_differences_frozen_example():
 
 def test_label_differences_sentinels():
     lg = p2({7}, {0, 1, 5})
-    vertex_diffs, edge_diffs = classify_module._differences(lg)
+    vertex_diffs = {v: _difference(s) for v, s in lg.vertex_labels.items()}
+    edge_diffs = {e: _difference(s) for e, s in lg.edge_labels.items()}
     # singleton and non-progression both surface as None
     assert vertex_diffs == {"u": None, "v": None}
     # {7}+{0,1,5} = {7,8,12}: not a progression either

@@ -92,6 +92,14 @@ def test_distinct_sum_sequence_every_count_up_to_300():
         assert len(sums) == count * (count - 1) // 2, count
 
 
+@pytest.mark.parametrize(
+    "count, error", [(-1, ValueError), (True, TypeError), (2.0, TypeError), (20.5, TypeError)]
+)
+def test_distinct_sum_sequence_rejects_bad_counts(count, error):
+    with pytest.raises(error, match="count must be"):
+        distinct_sum_sequence(count)
+
+
 # ------------------------------------------------------- construct_arbitrary
 
 
@@ -111,9 +119,9 @@ def test_cycle_with_documented_offsets():
     result = construct_arbitrary(cycle_graph(4), ConstructionParams())
     order = result.diagnostics["traversal"]
     assert order == ("a", "b", "d", "c")
-    offsets = [result.offsets[v] for v in order]
-    assert offsets == sorted(set(offsets))
     lg = result.labeled_graph
+    offsets = [lg.vertex_labels[v].first for v in order]
+    assert offsets == sorted(set(offsets))
     assert_arithmetic(lg)
     for label in lg.edge_labels.values():
         assert detect_ap(label).difference == 1
@@ -160,7 +168,7 @@ def test_fallback_still_arithmetic():
         ConstructionParams(multiplier_policy="random", seed=3, label_size_range=(3, 5)),
     )
     assert result.fallback_applied and result.fallback_vertex is not None
-    assert len(set(result.differences.values())) == 1
+    assert len({s.difference for s in result.labeled_graph.vertex_labels.values()}) == 1
     assert_arithmetic(result.labeled_graph)
 
 
@@ -168,7 +176,7 @@ def test_multi_neighbor_takes_largest_difference():
     result = construct_arbitrary(
         complete_graph(3), ConstructionParams(multiplier_policy="maximal")
     )
-    diffs = result.differences
+    diffs = {v: s.difference for v, s in result.labeled_graph.vertex_labels.items()}
     assert diffs["a"] == 1 and diffs["b"] == 3 and diffs["c"] == 3
     assert not result.fallback_applied
     assert_arithmetic(result.labeled_graph)
@@ -189,7 +197,7 @@ def test_edge_cardinalities_match_prediction():
         )
         lg = result.labeled_graph
         for (u, v), label in lg.edge_labels.items():
-            du, dv = result.differences[u], result.differences[v]
+            du, dv = lg.vertex_labels[u].difference, lg.vertex_labels[v].difference
             (small, dsmall), (big, dbig) = sorted(
                 [(u, du), (v, dv)], key=lambda t: t[1]
             )
@@ -239,10 +247,11 @@ def test_deep_path_caps_multipliers():
     assert_arithmetic(result.labeled_graph)
     assert check_multiplier_condition(result.labeled_graph).ok
     # a capped vertex keeps its parent's difference, k = 1
+    labels = result.labeled_graph.vertex_labels
     order = result.diagnostics["traversal"]
     for v in capped:
         parent = order[order.index(v) - 1]
-        assert result.differences[v] == result.differences[parent]
+        assert labels[v].difference == labels[parent].difference
 
 
 def test_catalog_graphs_never_hit_the_cap():
@@ -260,17 +269,18 @@ def test_capped_multiplier_leaves_rng_draws_alone():
     # and every other vertex gets exactly the drawn multiple
     params = ConstructionParams(multiplier_policy="random", seed=4, label_size_range=(3, 6))
     result = construct_arbitrary(path_graph(60), params)
+    labels = result.labeled_graph.vertex_labels
     order = result.diagnostics["traversal"]
     capped = set(result.diagnostics["capped"])
     assert capped
     rng = random.Random(params.seed)
     sizes = [rng.randint(3, 6) for _ in order]
-    assert sizes == [result.sizes[v] for v in order]
+    assert sizes == [len(labels[v]) for v in order]
     for i in range(1, len(order)):
         k = rng.randint(1, sizes[i - 1])
-        parent_d = result.differences[order[i - 1]]
+        parent_d = labels[order[i - 1]].difference
         expected = parent_d if order[i] in capped else k * parent_d
-        assert result.differences[order[i]] == expected
+        assert labels[order[i]].difference == expected
 
 
 @given(st.integers(0, 2**64 - 1))

@@ -24,7 +24,7 @@ from iasi import (
     sumset,
 )
 from iasi import sets as sets_module
-from iasi.sets import _bounded_multiple, _Progression
+from iasi.sets import _bounded_multiple
 
 
 def brute_sumset(a, b):
@@ -226,7 +226,7 @@ def test_detect_ap_matches_brute_force(s):
 )
 def test_detect_ap_round_trips_expansion(first, d, length):
     ap = APSet(first, d if length > 1 else None, length)
-    assert detect_ap(ap.expand()) == ap
+    assert detect_ap(ap) == ap
 
 
 # ---------------------------------------------- progression sumset structure
@@ -238,8 +238,8 @@ def test_detect_ap_round_trips_expansion(first, d, length):
 )
 def test_equal_difference_sumset_is_ap(a, b, d, m, n):
     """Same common difference: A+B is a progression of m+n-1 terms, same d."""
-    A = APSet(a, d if m > 1 else None, m).expand()
-    B = APSet(b, d if n > 1 else None, n).expand()
+    A = APSet(a, d if m > 1 else None, m)
+    B = APSet(b, d if n > 1 else None, n)
     s = brute_sumset(A, B)
     assert len(s) == m + n - 1
     if len(s) > 1:
@@ -253,8 +253,8 @@ def test_equal_difference_sumset_is_ap(a, b, d, m, n):
 def test_bounded_multiple_difference_sumset(a, b, d, m, n, data):
     """Differences d and k*d with k <= m give exactly m + k(n-1) sums, still an AP."""
     k = data.draw(st.integers(1, m), label="k")
-    A = APSet(a, d, m).expand()
-    B = APSet(b, k * d, n).expand()
+    A = APSet(a, d, m)
+    B = APSet(b, k * d, n)
     s = brute_sumset(A, B)
     assert len(s) == predicted_edge_cardinality(m, n, k) == m + k * (n - 1)
     assert _is_progression(s) and s[1] - s[0] == d
@@ -268,8 +268,8 @@ def test_bounded_multiple_difference_sumset(a, b, d, m, n, data):
 def test_excessive_multiplier_breaks_ap(a, b, d, m, n, data):
     """k beyond |A| leaves gaps: the sumset is not a progression."""
     k = data.draw(st.integers(m + 1, m + 6), label="k")
-    A = APSet(a, d, m).expand()
-    B = APSet(b, k * d, n).expand()
+    A = APSet(a, d, m)
+    B = APSet(b, k * d, n)
     assert not _is_progression(brute_sumset(A, B))
     assert _bounded_multiple(d, k * d, m) == _is_progression(brute_sumset(A, B))
 
@@ -282,8 +282,8 @@ def test_excessive_multiplier_breaks_ap(a, b, d, m, n, data):
 def test_non_multiple_difference_breaks_ap(a, b, di, dj, m, n):
     """Incommensurable differences (neither divides the other) never give an AP."""
     assume(dj > di and dj % di != 0)
-    A = APSet(a, di, m).expand()
-    B = APSet(b, dj, n).expand()
+    A = APSet(a, di, m)
+    B = APSet(b, dj, n)
     assert not _is_progression(brute_sumset(A, B))
     assert _bounded_multiple(di, dj, m) == _is_progression(brute_sumset(A, B))
 
@@ -294,8 +294,8 @@ def test_non_multiple_difference_breaks_ap(a, b, di, dj, m, n):
 )
 def test_maximal_multiplier_reaches_product(a, b, d, m, n):
     """k = m saturates: |A+B| = m*n, the strong case."""
-    A = APSet(a, d, m).expand()
-    B = APSet(b, m * d, n).expand()
+    A = APSet(a, d, m)
+    B = APSet(b, m * d, n)
     assert len(brute_sumset(A, B)) == m * n
 
 
@@ -336,7 +336,7 @@ def test_closed_form_sumset_matches_brute_force(pair):
         s = sumset(a, b)
     expected = brute_sumset(A, B)
     assert list(s) == expected
-    assert (type(s) is _Progression) == _is_progression(expected)
+    assert (type(s) is APSet) == _is_progression(expected)
     # two progressions sum to one exactly when the lemma applies, and only
     # the other pairs are summed element by element
     assert exact.called == (not _is_progression(expected))
@@ -365,7 +365,7 @@ def test_sumset_overflow_on_every_path(a, b):
 def test_label_type_marks_progressions_at_every_constructor(s):
     label = IntegerSet(s)
     expected = _is_progression(s)
-    assert (type(label) is _Progression) == expected
+    assert (type(label) is APSet) == expected
     assert IntegerSet(label) is label
     assert repr(label) == "IntegerSet({%s})" % ", ".join(str(e) for e in sorted(s))
     plain = tuple(sorted(s))
@@ -374,14 +374,21 @@ def test_label_type_marks_progressions_at_every_constructor(s):
         assert type(twin) is type(label) and twin == label
     if expected:
         gap = plain[1] - plain[0] if len(plain) > 1 else None
-        expanded = APSet(plain[0], gap, len(plain)).expand()
-        assert type(expanded) is _Progression and expanded == label
+        assert detect_ap(label) is label
+        assert (label.first, label.difference, label.length) == (plain[0], gap, len(plain))
+        built = APSet(plain[0], gap, len(plain))
+        brute = IntegerSet(range(plain[0], plain[0] + len(plain) * (gap or 1), gap or 1))
+        assert type(built) is APSet and built == brute and hash(built) == hash(brute)
+        twins = [pickle.loads(pickle.dumps(built, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(built), copy.deepcopy(built)]:
+            assert type(twin) is APSet and tuple(twin) == tuple(built)
 
 
 @given(small_sets, st.one_of(small_sets, progression_sets))
 def test_sumset_fallback_types_its_result(a, b):
     s = sumset(a, b)
-    assert (type(s) is _Progression) == _is_progression(brute_sumset(a, b))
+    assert (type(s) is APSet) == _is_progression(brute_sumset(a, b))
 
 
 def test_empty_set_is_not_a_progression():
