@@ -22,7 +22,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from typing import Iterator
 
 from .classify import (
@@ -55,6 +56,8 @@ __all__ = [
 
 MIN_CATALOG_N = 2
 MAX_CATALOG_N = 7
+# Masks per shard, the unit of work a catalog worker checks and sends back.
+_SHARD_MASKS = 32
 
 
 def _connected(n: int, edges) -> bool:
@@ -74,14 +77,22 @@ def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
     """
     if not isinstance(max_n, int) or not MIN_CATALOG_N <= max_n <= MAX_CATALOG_N:
         raise ValueError(f"max_n must be in [{MIN_CATALOG_N}, {MAX_CATALOG_N}], got {max_n!r}")
-    return _connected_graphs(max_n)
+    return _connected_graphs(_shards(range(MIN_CATALOG_N, max_n + 1)))
 
 
-def _connected_graphs(max_n: int) -> Iterator[Graph]:
-    for n in range(MIN_CATALOG_N, max_n + 1):
+def _shards(vertex_counts) -> Iterator[tuple[int, range]]:
+    """Each vertex count's masks cut into ranges of ``_SHARD_MASKS``, in enumeration order."""
+    for n in vertex_counts:
+        masks = range(1, 1 << (n * (n - 1) // 2))
+        for start in range(0, len(masks), _SHARD_MASKS):
+            yield n, masks[start : start + _SHARD_MASKS]
+
+
+def _connected_graphs(shards) -> Iterator[Graph]:
+    for n, masks in shards:
         vertices = _vertex_names(n)
         pairs = list(combinations(range(n), 2))
-        for mask in range(1, 1 << len(pairs)):
+        for mask in masks:
             chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             if not _connected(n, chosen):
                 continue
@@ -237,6 +248,25 @@ def check_one_graph(graph: Graph, policy: str, seed: int):
     return records + [_timed(gid, f"{name}/{policy}", *check) for name, *check in checks]
 
 
+_OUTCOMES = ("pass", "fail", "discrepancy")
+
+# Vertex counts up to this one (43 graphs in all) are checked in the calling
+# process: too few graphs to pay for starting workers.
+_PARENT_MAX_N = 4
+
+
+def _framed(records) -> tuple[bytes, list[int]]:
+    """Records as their JSONL bytes and a count per outcome, in _OUTCOMES order."""
+    outcomes = [r.outcome for r in records]
+    return records_jsonl(records).encode(), [outcomes.count(o) for o in _OUTCOMES]
+
+
+def _check_shards(shards, policies, seed):
+    """The one place catalog checks run: each graph's framed records, in order."""
+    for graph in _connected_graphs(shards):
+        yield _framed([r for policy in policies for r in check_one_graph(graph, policy, seed)])
+
+
 def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_path=None):
     """Check the whole catalog, writing each graph's JSONL lines to
     ``records_path`` (``os.devnull`` when None) as soon as the graph is
@@ -244,37 +274,47 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
 
     ``max_n``, every policy and the seed are checked before the file is
     opened, so bad arguments leave an existing file untouched, and a sweep
-    that stops on an error leaves the lines of every graph it finished. The
-    stream is deterministic for a given (max_n, policies, seed): graphs in
-    enumeration order, checks in a fixed sequence, the K3 probe last. Only
+    that stops on an error leaves the lines of every graph before the one
+    that failed. The stream is deterministic for a given (max_n, policies,
+    seed): graphs in enumeration order, checks in a fixed sequence, the K3
+    probe last. Vertex counts up to ``_PARENT_MAX_N`` are checked in this
+    process; the shards of larger ones go to one forked worker per CPU
+    (``_workers.dealt``), and the stream is the same either way. Only
     counters are kept; the summary counts outcomes and carries the sweep's
     elapsed time.
     """
+    # imported here, not at the top: only a sweep uses the workers, so
+    # importing iasi costs what it did before they existed
+    from ._workers import dealt, worker_count
+
     started = time.perf_counter()
-    graphs = enumerate_connected_graphs(max_n)
+    enumerate_connected_graphs(max_n)  # checks max_n
     for policy in policies:
         _params(policy, seed)
-    counts = {"pass": 0, "fail": 0, "discrepancy": 0}
-    checked = 0
-    with open(records_path or os.devnull, "w", encoding="utf-8") as out:
+    check = partial(_check_shards, policies=policies, seed=seed)
+    small = _shards(range(MIN_CATALOG_N, min(max_n, _PARENT_MAX_N) + 1))
+    large = _shards(range(_PARENT_MAX_N + 1, max_n + 1))
+    workers = worker_count() if max_n > _PARENT_MAX_N else 1
+    totals = [0] * len(_OUTCOMES)
+    graphs = 0
+    with open(records_path or os.devnull, "wb") as out, dealt(check, large, workers) as checked:
 
-        def emit(records):
-            out.write(records_jsonl(records))
-            for r in records:
-                counts[r.outcome] += 1
+        def emit(data, counts):
+            out.write(data)
+            for i, count in enumerate(counts):
+                totals[i] += count
 
-        for graph in graphs:
-            checked += 1
-            for policy in policies:
-                emit(check_one_graph(graph, policy, seed))
+        for data, counts in chain(check(small), checked):
+            graphs += 1
+            emit(data, counts)
         if max_n >= 3:
-            emit([probe_k3_three_index()])
+            emit(*_framed([probe_k3_three_index()]))
     return {
         "max_n": max_n,
         "policies": list(policies),
         "seed": seed,
-        "graphs": checked,
-        "records": sum(counts.values()),
-        "outcomes": counts,
+        "graphs": graphs,
+        "records": sum(totals),
+        "outcomes": dict(zip(_OUTCOMES, totals)),
         "elapsed_s": round(time.perf_counter() - started, 3),
     }

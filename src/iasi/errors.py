@@ -2,7 +2,9 @@
 
 Plain ValueError/TypeError are used for scalar argument misuse; the classes
 here carry structured payloads (violation lists, collision witnesses, field
-context) that callers and the CLI can serialize.
+context) that callers and the CLI can serialize. Each keeps its payload in
+``args`` and formats its message in ``__str__``, so a pickled error (one a
+catalog worker sends back) comes back with the same payload and message.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ class GraphValidationError(IasiError):
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"invalid graph: {lines}")
+        super().__init__(self.violations)
+
+    def __str__(self):
+        return "invalid graph: " + "; ".join(str(v) for v in self.violations)
 
 
 class InvalidLabelingError(IasiError):
@@ -40,7 +44,10 @@ class LabelCollisionError(IasiError):
 
     def __init__(self, witness):
         self.witness = witness
-        super().__init__(f"label collision: {witness}")
+        super().__init__(witness)
+
+    def __str__(self):
+        return f"label collision: {self.witness}"
 
 
 class NotArithmeticError(IasiError):
@@ -59,4 +66,8 @@ class SchemaError(IasiError):
 
     def __init__(self, message, context=None):
         self.context = context
-        super().__init__(message if context is None else f"{context}: {message}")
+        super().__init__(message, context)
+
+    def __str__(self):
+        message = self.args[0]
+        return message if self.context is None else f"{self.context}: {message}"

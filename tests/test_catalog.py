@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
+import threading
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -12,6 +14,11 @@ import pytest
 
 from iasi import (
     CheckRecord,
+    Graph,
+    GraphValidationError,
+    LabelCollisionError,
+    LabeledGraph,
+    SchemaError,
     check_one_graph,
     complete_graph,
     cycle_graph,
@@ -21,6 +28,7 @@ from iasi import (
     records_jsonl,
     run_catalog_checks,
     star_graph,
+    verify_iasi,
 )
 from iasi import catalog
 
@@ -270,3 +278,151 @@ def test_bad_arguments_leave_records_file_untouched(tmp_path, bad):
     with pytest.raises(ValueError):
         run_catalog_checks(**{"max_n": 3, **bad}, records_path=path)
     assert path.read_bytes() == b"earlier sweep\n"
+
+
+# ------------------------------------------------------------- forked sweeps
+
+POLICIES = ("fixed", "random", "maximal")
+N5_DIGEST = "7bcd68ef3f9cd0ed137638b1bfc167cee985adc744fe7b369d8010042d79b5d6"
+
+
+def one_cpu(monkeypatch):
+    """Make every later sweep run in this process, as on a machine with one CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that gains one entry per later ``os.fork`` call in this process."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_forked_and_serial_sweeps_are_the_same(tmp_path, monkeypatch):
+    forks = count_forks(monkeypatch)
+    forked = run_catalog_checks(5, POLICIES, seed=0, records_path=tmp_path / "forked.jsonl")
+    cpus = len(os.sched_getaffinity(0))
+    one_cpu(monkeypatch)
+    serial = run_catalog_checks(5, POLICIES, seed=0, records_path=tmp_path / "serial.jsonl")
+
+    data = (tmp_path / "serial.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == N5_DIGEST
+    assert (tmp_path / "forked.jsonl").read_bytes() == data
+    del forked["elapsed_s"], serial["elapsed_s"]
+    assert forked == serial
+    # one fork per CPU, all in the default run, so the n<=5 pins cover the forked path
+    if cpus >= 2:
+        assert len(forks) == cpus
+
+
+def test_a_process_with_threads_is_not_forked(monkeypatch):
+    # a lock another thread holds at a fork would stay held in the child
+    forks = count_forks(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        run_catalog_checks(5)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forks == []
+
+
+# the 40th 5-vertex graph: in the 4th 5-vertex shard, which is the 2nd worker's
+TARGET = 1 + 4 + 38 + 39
+
+
+def break_target(monkeypatch, fail):
+    """Make checking the TARGET graph call ``fail()``; return the lines before it."""
+    graphs = list(enumerate_connected_graphs(5))
+    target = graphs[TARGET].graph_id()
+    real = catalog.check_one_graph
+
+    def check(graph, policy, seed):
+        # matched by graph, not by call count: every worker counts its own calls
+        if graph.graph_id() == target:
+            fail()
+        return real(graph, policy, seed)
+
+    monkeypatch.setattr(catalog, "check_one_graph", check)
+    return records_jsonl([r for g in graphs[:TARGET] for r in real(g, "fixed", 0)])
+
+
+def collision_error():
+    lg = LabeledGraph(path_graph(3), {"a": [1, 2], "b": [5], "c": [1, 2]})
+    return LabelCollisionError(verify_iasi(lg).collision)
+
+
+@pytest.mark.parametrize("make_error", [lambda: RuntimeError("stop"), collision_error])
+def test_forked_sweep_stops_at_a_failing_graph(tmp_path, monkeypatch, make_error):
+    error = make_error()
+
+    def fail():
+        raise error
+
+    finished = break_target(monkeypatch, fail)
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(type(error)) as raised:
+        run_catalog_checks(5, records_path=path)
+    assert str(raised.value) == str(error)
+    assert getattr(raised.value, "witness", None) == getattr(error, "witness", None)
+    if len(os.sched_getaffinity(0)) >= 2:
+        # the worker's traceback comes along as the cause
+        assert "in fail\n" in str(raised.value.__cause__)
+    assert path.read_text() == finished
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_stops_the_sweep(tmp_path, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks no worker on one CPU")
+    sweeper = os.getpid()
+
+    def die():
+        if os.getpid() != sweeper:
+            os._exit(1)  # no error frame: the worker just stops
+
+    finished = break_target(monkeypatch, die)
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(ChildProcessError):
+        run_catalog_checks(5, records_path=path)
+    assert path.read_text() == finished
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_serial_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
+    # the default sweep's tracemalloc sees only this process, not the workers
+    one_cpu(monkeypatch)
+    test_sweep_memory_does_not_grow_with_the_catalog()
+
+
+def graph_error():
+    with pytest.raises(GraphValidationError) as raised:
+        Graph(["a", "a"], [("a", "b")])
+    return raised.value
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("make_error,payload", [
+    (graph_error, "violations"),
+    (collision_error, "witness"),
+    (lambda: SchemaError("label must be a list of integers", context="labels.a"), "context"),
+    (lambda: SchemaError("missing field 'labels'"), "context"),
+])
+def test_structured_errors_survive_pickling(make_error, payload, protocol):
+    # a worker's error reaches the sweep as a pickle
+    error = make_error()
+    copy = pickle.loads(pickle.dumps(error, protocol))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert getattr(copy, payload) == getattr(error, payload)
