@@ -6,9 +6,10 @@ top of that, edges are graded by cardinality (weak = the edge label is no
 bigger than its larger endpoint, strong = it reaches the product bound) and
 the labeling is graded by progression structure (vertex-/edge-/fully
 arithmetic, and semi-arithmetic in both readings: some edge label is not a
-progression, or none is). One report carries every grade and is computed
-once per labeled graph. Classification never refuses a non-injective
-labeling; it just flags it.
+progression, or none is). ``classify_edges`` grades the edges;
+``classify_arithmetic`` grades the labeling, in one report computed once
+per labeled graph. Classification never refuses a non-injective labeling;
+it just flags it.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def _verified(lg: LabeledGraph) -> LabeledGraph:
 
 
 def _verify(lg: LabeledGraph) -> InjectivityReport:
-    collision = _first_collision(sorted(lg.vertex_labels.items()), "vertex")
+    collision = _first_collision(lg.vertex_labels.items(), "vertex")
     if collision is None:
-        collision = _first_collision(sorted(lg.edge_labels.items()), "edge")
+        collision = _first_collision(lg.edge_labels.items(), "edge")
     return InjectivityReport(is_iasi=collision is None, collision=collision)
 
 
@@ -151,7 +152,7 @@ def check_uniformity(lg: LabeledGraph) -> tuple[int | None, int | None]:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Everything the classifier can say about one labeling.
+    """The labeling-level classes and the witnesses that explain them.
 
     ``arithmetic`` = all vertex labels are progressions of >= 3 elements and
     all edge labels are progressions. The two semi-arithmetic readings keep
@@ -160,12 +161,12 @@ class ClassificationReport:
     when none is. A singleton edge label counts as a progression.
 
     Non-injective labelings are still classified; ``is_iasi`` is the flag to
-    check before trusting anything else.
+    check before trusting anything else. Per-edge weak/strong grades are
+    ``classify_edges``'s.
     """
 
     is_iasi: bool
     collision: Collision | None
-    per_edge: dict
     uniform_k: int | None
     vertex_uniform_l: int | None
     vertex_arithmetic: bool
@@ -178,7 +179,7 @@ class ClassificationReport:
 
 def _sub_minimal(lg: LabeledGraph) -> tuple:
     return tuple(
-        v for v in sorted(lg.vertex_labels) if len(lg.vertex_labels[v]) < MIN_ARITHMETIC_LENGTH
+        v for v, s in lg.vertex_labels.items() if len(s) < MIN_ARITHMETIC_LENGTH
     )
 
 
@@ -198,7 +199,6 @@ def _classify(lg: LabeledGraph) -> ClassificationReport:
     return ClassificationReport(
         is_iasi=injectivity.is_iasi,
         collision=injectivity.collision,
-        per_edge=classify_edges(lg),
         uniform_k=uniform_k,
         vertex_uniform_l=vertex_uniform_l,
         vertex_arithmetic=vertex_arithmetic,

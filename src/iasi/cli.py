@@ -2,7 +2,8 @@
 
 Each subcommand prints one JSON object on stdout; diagnostics go to stderr.
 Exit codes: 0 all checks passed, 1 a check failed or a discrepancy was
-found, 2 usage or input error.
+found, 2 usage or input error, 3 an unexpected internal error (its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import fields, is_dataclass
 
 from . import __version__
 from .catalog import MAX_CATALOG_N, MIN_CATALOG_N, run_catalog_checks
-from .classify import Collision, classify_arithmetic, verify_iasi
+from .classify import Collision, classify_arithmetic, classify_edges, verify_iasi
 from .construct import _POLICIES, ConstructionParams, construct_arbitrary
 from .errors import IasiError, LabelCollisionError
 from .io import export_dot, load_document, load_graph, save_document
@@ -29,6 +31,7 @@ from .transforms import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 3
 
 _DEFAULT_POLICY = ConstructionParams.multiplier_policy
 
@@ -53,13 +56,13 @@ def _emit(payload: dict):
 def _report_json(value):
     """A report as JSON-ready values: a collision through its own serializer,
     other reports field by field, and an edge-keyed dict as a list of
-    {"edge": [u, v], ...} objects in canonical edge order."""
+    {"edge": [u, v], ...} objects in the dict's own (canonical) edge order."""
     if isinstance(value, Collision):
         return value.to_dict()
     if is_dataclass(value):
         return {f.name: _report_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
-        return [{"edge": list(e), **_report_json(x)} for e, x in sorted(value.items())]
+        return [{"edge": list(e), **_report_json(x)} for e, x in value.items()]
     return value
 
 
@@ -169,8 +172,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify_arithmetic(load_document(args.input))
-    _emit({"command": "classify", **_report_json(report)})
+    lg = load_document(args.input)
+    report = classify_arithmetic(lg)
+    _emit(
+        {
+            "command": "classify",
+            **_report_json(report),
+            "per_edge": _report_json(classify_edges(lg)),
+        }
+    )
     return EXIT_PASS if report.is_iasi else EXIT_FAIL
 
 
@@ -237,6 +247,9 @@ def main(argv=None) -> int:
     except (OSError, IasiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -196,9 +196,10 @@ class LabeledGraph:
     Edge labels are always the induced sumsets of the endpoint labels and
     are computed here once; there is no way to store anything else. The
     labeling need not be injective -- deciding that is the verifier's job.
-    Facts derived from the labels (the injectivity report, the
-    classification report) are computed on first use by ``_fact`` and kept
-    in ``_cache``.
+    ``vertex_labels`` and ``edge_labels`` are filled in the graph's canonical
+    vertex and edge order, so iterating them needs no re-sort. Facts derived
+    from the labels (the injectivity report, the classification report) are
+    computed on first use by ``_fact`` and kept in ``_cache``.
     """
 
     __slots__ = ("graph", "vertex_labels", "edge_labels", "_cache")
@@ -231,7 +232,7 @@ class LabeledGraph:
         return self.graph == other.graph and self.vertex_labels == other.vertex_labels
 
     def __hash__(self):
-        return hash((self.graph, tuple(sorted(self.vertex_labels.items()))))
+        return hash((self.graph, tuple(self.vertex_labels.items())))
 
     def __repr__(self):
         return f"LabeledGraph({self.graph!r})"

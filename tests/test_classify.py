@@ -22,10 +22,14 @@ from iasi import (
     classify_arithmetic,
     classify_edges,
     construct_arbitrary,
+    contract_edge,
     cycle_graph,
     detect_ap,
+    reduce_topologically,
     subdivide,
     sumset,
+    to_line_graph,
+    to_total_graph,
     verify_iasi,
 )
 from iasi.sets import _difference
@@ -170,14 +174,14 @@ def test_non_iasi_still_classified_with_flag():
     lg = p3({1, 2}, {0}, {1, 2})
     report = classify_arithmetic(lg)
     assert not report.is_iasi and report.collision is not None
-    assert report.per_edge  # grading still present
+    assert classify_edges(lg)  # grading still present
 
 
 def test_arithmetic_never_weak():
     """Arithmetic forces >= 3 elements everywhere, which rules weak edges out."""
-    report = classify_arithmetic(p2({0, 1, 2}, {0, 2, 4}))
-    assert report.arithmetic
-    assert not any(cls.weak for cls in report.per_edge.values())
+    lg = p2({0, 1, 2}, {0, 2, 4})
+    assert classify_arithmetic(lg).arithmetic
+    assert not any(cls.weak for cls in classify_edges(lg).values())
 
 
 def test_edge_arithmetic_does_not_imply_vertex_arithmetic():
@@ -348,6 +352,29 @@ def test_label_facts_computed_once_per_labeled_graph(monkeypatch):
     assert classify_arithmetic(out).is_iasi
     assert verify_iasi(out).is_iasi
     assert len(scans) == 2
+
+
+def test_classification_never_builds_edge_grades(monkeypatch):
+    def refuse(lg):
+        raise AssertionError("classify_edges called")
+
+    monkeypatch.setattr(classify_module, "classify_edges", refuse)
+
+    def fresh():
+        spread = {"a": 0, "b": 100, "c": 1000, "d": 300}
+        return LabeledGraph(cycle_graph(4), {v: {x, x + 1, x + 2} for v, x in spread.items()})
+
+    assert classify_arithmetic(fresh()).arithmetic
+    assert verify_iasi(fresh()).is_iasi
+    edge, vertex = ("a", "b"), "a"
+    for transform, *args in [
+        (contract_edge, edge),
+        (reduce_topologically, vertex),
+        (subdivide, edge),
+        (to_line_graph,),
+        (to_total_graph,),
+    ]:
+        assert classify_arithmetic(transform(fresh(), *args)).is_iasi
 
 
 def test_cached_reports_match_fresh_graph_for_both_readings():

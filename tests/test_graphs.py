@@ -14,6 +14,7 @@ from iasi import (
     LabelOverflowError,
     U64_MAX,
     find_graph_violations,
+    verify_iasi,
 )
 
 
@@ -51,6 +52,19 @@ def test_empty_graph_rejected():
     assert kinds(find_graph_violations([], [])) == {"empty-graph"}
     with pytest.raises(GraphValidationError, match="empty-graph"):
         Graph([], [])
+
+
+def test_labels_follow_canonical_graph_order():
+    g = Graph(["d", "b", "a", "c"], [("b", "a"), ("c", "b"), ("d", "c"), ("d", "a")])
+    labels = {"d": {1, 2}, "c": {5}, "b": {1, 2}, "a": {1, 2}}
+    lg = LabeledGraph(g, labels)
+    assert lg.graph.vertices == ("a", "b", "c", "d")
+    assert list(lg.vertex_labels) == list(lg.graph.vertices)
+    assert lg.graph.edges == (("a", "b"), ("a", "d"), ("b", "c"), ("c", "d"))
+    assert list(lg.edge_labels) == list(lg.graph.edges)
+    # three vertices share {1, 2}; the witness is the first pair in vertex order
+    collision = verify_iasi(lg).collision
+    assert (collision.kind, collision.first, collision.second) == ("vertex", "a", "b")
 
 
 def test_graph_constructor_raises_with_violations():

@@ -1,6 +1,7 @@
 """Document parsing, DOT export, and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -269,7 +270,7 @@ def test_cli_construct_then_verify(tmp_path, capsys):
     assert payload["is_iasi"] and payload["arithmetic"]
     assert payload["fallback"] is False and payload["capped"] == 0
 
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["metadata"]["seed"] == 5
     assert doc["metadata"]["params"]["policy"] == "fixed"
 
@@ -300,7 +301,7 @@ def test_cli_construct_size_range(tmp_path, capsys):
         "--sizes", "3,5", "--policy", "random", "--seed", "11",
     )
     assert code == 0
-    sizes = {len(v) for v in json.loads(open(out).read())["labels"].values()}
+    sizes = {len(v) for v in json.loads(Path(out).read_text())["labels"].values()}
     assert sizes <= {3, 4, 5}
 
 
@@ -349,7 +350,7 @@ def test_cli_transform_contract(tmp_path, capsys):
         "--input", str(path), "--output", out,
     )
     assert code == 0
-    assert json.loads(open(out).read())["labels"]["(u*v)"] == [10, 11, 12, 13, 14]
+    assert json.loads(Path(out).read_text())["labels"]["(u*v)"] == [10, 11, 12, 13, 14]
 
 
 def test_cli_transform_contracts_an_edge_of_a_line_graph(tmp_path, capsys):
@@ -509,6 +510,16 @@ def test_cli_catalog_flags_probe(tmp_path, capsys):
     lines = records.read_text().splitlines()
     assert len(lines) == payload["records"]
     assert all(set(json.loads(l)) == {"graph", "check", "outcome", "witness"} for l in lines)
+
+
+def test_cli_crash_exits_3_with_traceback(monkeypatch, capsys):
+    def crash(graph, policy, seed):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(catalog, "check_one_graph", crash)
+    code, payload, err = run_cli(capsys, "catalog", "--max-n", "3")
+    assert code == 3 and payload is None
+    assert "Traceback" in err and "RuntimeError: planted crash" in err
 
 
 def test_cli_catalog_large_needs_opt_in(capsys):
