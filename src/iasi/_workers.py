@@ -1,6 +1,6 @@
 """Shards of work dealt to forked worker processes, read back in shard order.
 
-The catalog sweep checks its larger vertex counts here. Each worker gets
+Every catalog sweep runs its shards through ``dealt``. Each worker gets
 its own pipe and sends one frame per item of a shard: a header line,
 ``item <size> <count> ...``, then ``size`` bytes; ``end`` closes each
 shard, and an error goes as ``error <size>`` and a pickle of the

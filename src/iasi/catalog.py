@@ -3,8 +3,10 @@
 Connected labeled simple graphs are enumerated by adjacency bitmask (no
 isomorphism reduction), so the stream is exactly the 1, 4, 38, 728, ...
 connected graphs on 2, 3, 4, 5, ... named vertices a, b, c, ... Each graph
-is constructed, verified, classified, and pushed through the transforms;
-every check emits one CheckRecord suitable for JSONL persistence.
+is constructed, then ``_check_labeling``, which takes any labeling, checks
+the claims on it; every check emits one CheckRecord suitable for JSONL
+persistence. A sweep deals every shard of masks, from n=2 up, to one
+``_workers.dealt`` call, serial or forked, with the same stream either way.
 
 Outcomes: "pass" means the artifact behaved per contract (structured
 collision errors included -- the existence claims say some labeling works,
@@ -219,8 +221,7 @@ def _params(policy: str, seed: int) -> ConstructionParams:
 
 
 def check_one_graph(graph: Graph, policy: str, seed: int):
-    """All records for one catalog graph under one construction policy."""
-    gid = graph.graph_id()
+    """One catalog graph's construct record under ``policy``, then ``_check_labeling``'s."""
     result = None
 
     def construct():
@@ -228,8 +229,18 @@ def check_one_graph(graph: Graph, policy: str, seed: int):
         result = construct_arbitrary(graph, _params(policy, seed))
         return "pass", {"fallback": result.fallback_applied}
 
-    records = [_timed(gid, f"construct/{policy}", construct)]
-    lg = result.labeled_graph
+    record = _timed(graph.graph_id(), f"construct/{policy}", construct)
+    return [record, *_check_labeling(result.labeled_graph, policy)]
+
+
+def _check_labeling(lg: LabeledGraph, policy: str) -> list:
+    """The catalog's claims on one labeling, in stream order; ``policy`` names the records.
+
+    Any labeling of progressions will do (else NotArithmeticError). Reduce
+    runs at the first reducible vertex, if any; line needs two edges.
+    """
+    graph = lg.graph
+    gid = graph.graph_id()
     first_edge = graph.edges[0]
     checks = [
         ("verify", _verify, lg),
@@ -245,12 +256,12 @@ def check_one_graph(graph: Graph, policy: str, seed: int):
     if len(graph.edges) >= 2:
         checks.append(("transform-line", _transform, to_line_graph, lg))
     checks.append(("transform-total", _transform, to_total_graph, lg))
-    return records + [_timed(gid, f"{name}/{policy}", *check) for name, *check in checks]
+    return [_timed(gid, f"{name}/{policy}", *check) for name, *check in checks]
 
 
 _OUTCOMES = ("pass", "fail", "discrepancy")
 
-# Vertex counts up to this one (43 graphs in all) are checked in the calling
+# A sweep up to this many vertices (43 graphs in all) runs in the calling
 # process: too few graphs to pay for starting workers.
 _PARENT_MAX_N = 4
 
@@ -277,11 +288,11 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
     that stops on an error leaves the lines of every graph before the one
     that failed. The stream is deterministic for a given (max_n, policies,
     seed): graphs in enumeration order, checks in a fixed sequence, the K3
-    probe last. Vertex counts up to ``_PARENT_MAX_N`` are checked in this
-    process; the shards of larger ones go to one forked worker per CPU
-    (``_workers.dealt``), and the stream is the same either way. Only
-    counters are kept; the summary counts outcomes and carries the sweep's
-    elapsed time.
+    probe last. Every shard, from n=2 up, goes through one ``_workers.dealt``
+    call: a sweep up to ``_PARENT_MAX_N`` vertices runs in this process, a
+    larger one on one forked worker per CPU, and the stream is the same
+    either way. Only counters are kept; the summary counts outcomes and
+    carries the sweep's elapsed time.
     """
     # imported here, not at the top: only a sweep uses the workers, so
     # importing iasi costs what it did before they existed
@@ -292,23 +303,15 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
     for policy in policies:
         _params(policy, seed)
     check = partial(_check_shards, policies=policies, seed=seed)
-    small = _shards(range(MIN_CATALOG_N, min(max_n, _PARENT_MAX_N) + 1))
-    large = _shards(range(_PARENT_MAX_N + 1, max_n + 1))
+    shards = _shards(range(MIN_CATALOG_N, max_n + 1))
     workers = worker_count() if max_n > _PARENT_MAX_N else 1
     totals = [0] * len(_OUTCOMES)
-    graphs = 0
-    with open(records_path or os.devnull, "wb") as out, dealt(check, large, workers) as checked:
-
-        def emit(data, counts):
+    with open(records_path or os.devnull, "wb") as out, dealt(check, shards, workers) as checked:
+        probe = [probe_k3_three_index()] if max_n >= 3 else []
+        # the probe's frame (empty below n=3) comes last, so its index counts the graphs
+        for graphs, (data, counts) in enumerate(chain(checked, [_framed(probe)])):
             out.write(data)
-            for i, count in enumerate(counts):
-                totals[i] += count
-
-        for data, counts in chain(check(small), checked):
-            graphs += 1
-            emit(data, counts)
-        if max_n >= 3:
-            emit(*_framed([probe_k3_three_index()]))
+            totals = [total + count for total, count in zip(totals, counts)]
     return {
         "max_n": max_n,
         "policies": list(policies),

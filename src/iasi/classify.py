@@ -285,8 +285,11 @@ class GcdReport:
 def check_gcd_invariant(lg: LabeledGraph) -> GcdReport:
     """gcd of vertex differences == gcd of edge differences == least vertex difference.
 
-    The propagation argument behind this walks edges, so the graph must be
-    connected.
+    ``ok`` needs all three. Vertex gcd == edge gcd always holds: each edge
+    difference is its lower endpoint's and divides the higher. "== least"
+    holds exactly when every difference is a multiple of the least one:
+    true of every constructed labeling, not of P3 with differences 3, 6, 2
+    (both gcds 1, least 2). The graph must be connected.
     """
     if not lg.graph.is_connected():
         raise DisconnectedGraphError("gcd invariant needs a connected graph")

@@ -9,9 +9,10 @@ First terms come from a sequence with pairwise-distinct sums scaled by a
 stride wider than twice the largest label span: distinct offsets separate
 vertex labels, distinct offset sums separate edge labels, and the stride
 keeps whole labels disjoint. Up to 20 vertices the sequence is the greedy
-one (1, 2, 3, 5, 8, 13, ...); above 20 it is the Erdos-Turan Sidon set
-2pk + (k^2 mod p), built in linear time. The two differ, so the offsets of
-a 21-vertex layout do not extend those of a 20-vertex one.
+one (1, 2, 3, 5, 8, 13, ...), read from a fixed table of its first 20
+terms; above 20 it is the Erdos-Turan Sidon set 2pk + (k^2 mod p), built
+in linear time. The two differ, so the offsets of a 21-vertex layout do
+not extend those of a 20-vertex one.
 
 Multipliers compound along a path, so differences are held within one
 budget, fixed before the traversal, that keeps every label element and
@@ -39,40 +40,30 @@ __all__ = [
 
 _POLICIES = ("fixed", "random", "maximal")
 
-
-# Up to this many terms the greedy sequence is used; the catalog's bytes
-# depend on its prefix. Above it, the Erdos-Turan terms cost linear time.
-_GREEDY_TERMS = 20
+# The greedy sequence's first 20 terms, each the least integer whose sums
+# with every earlier term are new; the catalog's bytes depend on them.
+_GREEDY = (1, 2, 3, 5, 8, 13, 21, 30, 39, 53, 74, 95, 128, 152, 182, 212, 258, 316, 374, 413)
 
 
 def distinct_sum_sequence(count: int) -> list[int]:
     """``count`` strictly increasing terms whose pairwise sums are all distinct.
 
-    Up to 20 terms: the greedy sequence from 1, where a candidate
-    joins when every sum with an earlier term is new (1, 2, 3, 5, 8, 13, 21,
-    ...); its cost grows steeply with ``count``. Above that: the Erdos-Turan
-    Sidon set 2pk + (k^2 mod p) for k = 0..count-1 with p the smallest prime
-    >= count (J. London Math. Soc. 16, 1941), in linear time. The two are
-    different sequences, so a longer result need not extend a shorter one
-    across the switch.
+    Up to 20 terms: the greedy sequence from 1, where a candidate joins
+    when every sum with an earlier term is new (1, 2, 3, 5, 8, 13, 21, ...),
+    read from a fixed table. Above that: the Erdos-Turan Sidon set
+    2pk + (k^2 mod p) for k = 0..count-1 with p the smallest prime >= count
+    (J. London Math. Soc. 16, 1941), in linear time. The two are different
+    sequences, so a longer result need not extend a shorter one across the
+    switch.
     """
     if not _is_int(count):
         raise TypeError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ValueError("count must be non-negative")
-    if count > _GREEDY_TERMS:
+    if count > len(_GREEDY):
         p = _next_prime(count)
         return [2 * p * k + (k * k) % p for k in range(count)]
-    terms: list[int] = []
-    sums = set()
-    candidate = 1
-    while len(terms) < count:
-        new_sums = {candidate + t for t in terms}
-        if len(new_sums) == len(terms) and not (new_sums & sums):
-            sums |= new_sums
-            terms.append(candidate)
-        candidate += 1
-    return terms
+    return list(_GREEDY[:count])
 
 
 def _next_prime(n: int) -> int:

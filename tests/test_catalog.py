@@ -1,5 +1,6 @@
 """Small-graph enumeration and the theorem-checking harness."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from iasi import (
     SchemaError,
     check_one_graph,
     complete_graph,
+    construct_arbitrary,
     cycle_graph,
     enumerate_connected_graphs,
     path_graph,
@@ -31,8 +33,10 @@ from iasi import (
     verify_iasi,
 )
 from iasi import catalog
+from iasi.construct import _progression_labels
 
 PROBE = "probe-k3-three-index"
+POLICIES = ("fixed", "random", "maximal")
 
 # connected labeled graphs on n vertices, a classical count
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -156,6 +160,45 @@ def test_reduce_and_line_checks_skipped_when_undefined():
     names = {r.check for r in check_one_graph(path_graph(2), "fixed", seed=0)}
     assert "transform-reduce/fixed" not in names  # no degree-2 vertex
     assert "transform-line/fixed" not in names  # single edge
+
+
+# every record of the catalog's claims on P3 with differences 3, 6, 2 (sizes
+# 3): arithmetic, but 6 is no multiple of the least difference, 2
+P3_3_6_2 = [
+    ("verify", "pass", {"is_iasi": True}),
+    ("arithmetic", "pass", {"arithmetic": True}),
+    ("multiplier", "pass", {"violations": []}),
+    ("gcd", "fail", {"vertex_gcd": 1, "edge_gcd": 1, "min_vertex_difference": 2}),
+    ("transform-contract", "discrepancy",
+     {"arithmetic": False, "is_iasi": True, "non_ap_edges": ["(a*b)-c"]}),
+    ("transform-subdivide", "pass", {"arithmetic": True}),
+    ("transform-reduce", "discrepancy",
+     {"arithmetic": False, "is_iasi": True, "non_ap_edges": ["a-c"]}),
+    ("transform-line", "discrepancy",
+     {"arithmetic": False, "is_iasi": True, "non_ap_edges": ["(a,b)-(b,c)"]}),
+    ("transform-total", "discrepancy",
+     {"arithmetic": False, "is_iasi": True, "non_ap_edges": ["(a,b)-(b,c)"]}),
+]
+
+
+def test_check_labeling_runs_on_any_labeling():
+    graph = path_graph(3)
+    vertices = graph.vertices
+    labels = _progression_labels(
+        vertices, dict(zip(vertices, (3, 6, 2))), dict.fromkeys(vertices, 3)
+    )
+    records = catalog._check_labeling(LabeledGraph(graph, labels), "fixed")
+    assert [(r.graph_id, r.check, r.outcome, r.witness) for r in records] == [
+        ("a-b,b-c", f"{name}/fixed", outcome, witness) for name, outcome, witness in P3_3_6_2
+    ]
+
+    # a catalog graph's records are its construction, then the claims on what it built
+    for graph in enumerate_connected_graphs(4):
+        for policy in POLICIES:
+            construct, *claims = check_one_graph(graph, policy, 0)
+            built = construct_arbitrary(graph, catalog._params(policy, 0)).labeled_graph
+            assert construct.check == f"construct/{policy}"
+            assert records_jsonl(claims) == records_jsonl(catalog._check_labeling(built, policy))
 
 
 def _timed_records():
@@ -282,7 +325,6 @@ def test_bad_arguments_leave_records_file_untouched(tmp_path, bad):
 
 # ------------------------------------------------------------- forked sweeps
 
-POLICIES = ("fixed", "random", "maximal")
 N5_DIGEST = "7bcd68ef3f9cd0ed137638b1bfc167cee985adc744fe7b369d8010042d79b5d6"
 
 
@@ -336,7 +378,8 @@ def test_a_process_with_threads_is_not_forked(monkeypatch):
     assert forks == []
 
 
-# the 40th 5-vertex graph: in the 4th 5-vertex shard, which is the 2nd worker's
+# the 40th 5-vertex graph: in the 8th shard (the 4th of n=5, after one each for
+# n=2 and n=3 and two for n=4), which is the 2nd worker's on 2 CPUs
 TARGET = 1 + 4 + 38 + 39
 
 
@@ -404,6 +447,23 @@ def test_serial_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
     # the default sweep's tracemalloc sees only this process, not the workers
     one_cpu(monkeypatch)
     test_sweep_memory_does_not_grow_with_the_catalog()
+
+
+def test_serial_sweep_retains_no_memory(monkeypatch):
+    # the peak guards above move with when cyclic garbage is collected; this
+    # one counts only what a sweep leaves behind after a collection
+    one_cpu(monkeypatch)
+    run_catalog_checks(3, POLICIES)  # warm import-time and first-call allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_catalog_checks(5, POLICIES, records_path=os.devnull)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1024
 
 
 def graph_error():

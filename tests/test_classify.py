@@ -104,6 +104,25 @@ def test_neither_weak_nor_strong():
     assert not cls.weak and not cls.strong and cls.indexing_number == 4
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_strong_edge_law(data):
+    # differences d and k*d with 1 <= k <= m = |low label|, both sizes >= 2:
+    # |A+B| = m + k(n-1), which is m*n exactly when k == m and above max(m, n)
+    d = data.draw(st.integers(1, 12), label="d")
+    m = data.draw(st.integers(2, 8), label="m")
+    n = data.draw(st.integers(2, 8), label="n")
+    k = data.draw(st.integers(1, m), label="k")
+    low_first, high_first = data.draw(st.tuples(st.integers(0, 60), st.integers(0, 60)))
+    low = set(range(low_first, low_first + m * d, d))
+    high = set(range(high_first, high_first + n * k * d, k * d))
+    ends = (low, high) if data.draw(st.booleans(), label="low first") else (high, low)
+    cls = classify_edges(p2(*ends))[("u", "v")]
+    assert cls.strong == (k == m)
+    assert not cls.weak
+    assert cls.indexing_number == len({a + b for a in low for b in high})
+
+
 def test_singleton_endpoint_rule():
     assert check_singleton_endpoint_rule(p2({3}, {1, 2}))
     assert check_singleton_endpoint_rule(p2({0, 1}, {0, 2}))  # no weak edge at all
