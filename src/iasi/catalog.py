@@ -35,7 +35,7 @@ from .classify import (
     classify_arithmetic,
     verify_iasi,
 )
-from .construct import ConstructionParams, _progression_labels, construct_arbitrary
+from .construct import ConstructionParams, construct_arbitrary, construct_complete
 from .errors import GraphValidationError, LabelCollisionError
 from .graphs import Graph, LabeledGraph, _bfs_components, _vertex_names, complete_graph
 from .transforms import (
@@ -143,13 +143,12 @@ def _pass_or_fail(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _k3_three_index(graph: Graph):
-    differences = {"a": 1, "b": 2, "c": 4}
-    labels = _progression_labels(graph.vertices, differences, dict.fromkeys(graph.vertices, 4))
-    report = classify_arithmetic(LabeledGraph(graph, labels))
+def _k3_three_index():
+    differences = (1, 2, 4)
+    report = classify_arithmetic(construct_complete(differences, sizes=4))
     if report.is_iasi and report.arithmetic:
         return "discrepancy", {
-            "differences": sorted(differences.values()),
+            "differences": list(differences),
             "arithmetic": True,
             "note": "three distinct differences on K3 verified arithmetic",
         }
@@ -160,13 +159,12 @@ def probe_k3_three_index() -> CheckRecord:
     """Label K3 with differences 1, 2, 4 (sizes 4) and see what the verifier says.
 
     Every pairwise multiplier is within bounds (2, 2 and 4 against size-4
-    labels), so the labeling classifies arithmetic with three distinct
-    vertex differences; the two-band necessity claim for complete graphs
-    allows at most two. Finding it arithmetic is therefore recorded as a
-    discrepancy, not a failure.
+    labels), so it classifies arithmetic with three distinct differences,
+    where the two-band necessity claim for complete graphs allows two. By
+    the band law, size-l labels admit min(n, floor(log2 l) + 1) differences:
+    "at most two" holds exactly when l <= 3. The record stays a discrepancy.
     """
-    graph = complete_graph(3)
-    return _timed(graph.graph_id(), "probe-k3-three-index", _k3_three_index, graph)
+    return _timed(complete_graph(3).graph_id(), "probe-k3-three-index", _k3_three_index)
 
 
 def _verify(lg: LabeledGraph):
@@ -236,8 +234,9 @@ def check_one_graph(graph: Graph, policy: str, seed: int):
 def _check_labeling(lg: LabeledGraph, policy: str) -> list:
     """The catalog's claims on one labeling, in stream order; ``policy`` names the records.
 
-    Any labeling of progressions will do (else NotArithmeticError). Reduce
-    runs at the first reducible vertex, if any; line needs two edges.
+    Every vertex and edge label must be a progression (a non-progression
+    edge label raises NotArithmeticError at the gcd check). Reduce runs at
+    the first reducible vertex, if any; line needs two edges.
     """
     graph = lg.graph
     gid = graph.graph_id()
@@ -283,16 +282,16 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
     ``records_path`` (``os.devnull`` when None) as soon as the graph is
     checked; returns the summary.
 
-    ``max_n``, every policy and the seed are checked before the file is
-    opened, so bad arguments leave an existing file untouched, and a sweep
-    that stops on an error leaves the lines of every graph before the one
-    that failed. The stream is deterministic for a given (max_n, policies,
-    seed): graphs in enumeration order, checks in a fixed sequence, the K3
-    probe last. Every shard, from n=2 up, goes through one ``_workers.dealt``
-    call: a sweep up to ``_PARENT_MAX_N`` vertices runs in this process, a
-    larger one on one forked worker per CPU, and the stream is the same
-    either way. Only counters are kept; the summary counts outcomes and
-    carries the sweep's elapsed time.
+    ``max_n``, the policies (at least one) and the seed are checked before
+    the file is opened, so bad arguments leave an existing file untouched,
+    and a sweep that stops on an error leaves the lines of every graph
+    before the one that failed. The stream is deterministic for a given
+    (max_n, policies, seed): graphs in enumeration order, checks in a fixed
+    sequence, the K3 probe last. Every shard, from n=2 up, goes through one
+    ``_workers.dealt`` call: a sweep up to ``_PARENT_MAX_N`` vertices runs
+    in this process, a larger one on one forked worker per CPU, and the
+    stream is the same either way. Only counters are kept; the summary
+    counts outcomes and carries the sweep's elapsed time.
     """
     # imported here, not at the top: only a sweep uses the workers, so
     # importing iasi costs what it did before they existed
@@ -302,6 +301,8 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
     enumerate_connected_graphs(max_n)  # checks max_n
     for policy in policies:
         _params(policy, seed)
+    if not policies:
+        raise ValueError("policies must name at least one multiplier policy")
     check = partial(_check_shards, policies=policies, seed=seed)
     shards = _shards(range(MIN_CATALOG_N, max_n + 1))
     workers = worker_count() if max_n > _PARENT_MAX_N else 1

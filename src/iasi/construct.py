@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .classify import MIN_ARITHMETIC_LENGTH
+from .classify import MIN_ARITHMETIC_LENGTH, check_multiplier_condition
 from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
 from .sets import U64_MAX, APSet, _bounded_multiple, _is_int
 
@@ -94,7 +94,10 @@ class ConstructionParams:
             raise ValueError(
                 f"base_difference must be an integer >= 1, got {self.base_difference!r}"
             )
-        lo, hi = self.label_size_range
+        try:
+            lo, hi = self.label_size_range
+        except (TypeError, ValueError):  # not a pair: fails the check below
+            lo = hi = None
         if not (_is_int(lo) and _is_int(hi) and MIN_ARITHMETIC_LENGTH <= lo <= hi):
             raise ValueError(
                 f"label_size_range must be integers with {MIN_ARITHMETIC_LENGTH} <= lo <= hi, "
@@ -225,39 +228,33 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     )
 
 
-def construct_complete(part_sizes: tuple[int, int], d: int, k: int, sizes=3) -> LabeledGraph:
-    """Arithmetic labeling of the complete graph on r + l vertices in two bands.
+def construct_complete(differences, sizes=3) -> LabeledGraph:
+    """Arithmetic labeling of the complete graph, one difference per vertex.
 
-    ``part_sizes`` is (r, l): the first r vertices (part one, r >= 1) get
-    common difference d, the other l get k*d. The multiplier k must not
-    exceed the smallest part-one label cardinality: every cross edge pairs a
-    d-label with a k*d-label, and k beyond that cardinality would break the
-    progression. ``sizes`` is one label size for every vertex or a sequence
-    of r + l sizes.
+    ``differences`` and ``sizes`` (one size, or one per vertex) go in vertex
+    order; a run of equal differences is a band. The labeling is arithmetic
+    exactly when every vertex pair meets the multiplier condition, so a
+    ValueError names the first violation ``check_multiplier_condition``
+    finds: its edge, multiplier and bound. One label size l admits
+    min(n, floor(log2 l) + 1) distinct differences, such as 1, 2, 4 at l = 4.
+    The layout is construct_arbitrary's; one beyond 64 bits raises
+    LabelOverflowError, before the condition is checked.
     """
-    r, l = part_sizes
-    if not (_is_int(r) and _is_int(l)) or r < 1 or l < 0:
-        raise ValueError(f"part sizes must be integers r >= 1 and l >= 0, got {part_sizes!r}")
-    n = r + l
-    graph = complete_graph(n)
-    if not _is_int(d) or d < 1:
-        raise ValueError(f"difference d must be an integer >= 1, got {d!r}")
-    if isinstance(sizes, int):
-        sizes = (sizes,) * n
-    else:
-        sizes = tuple(sizes)
-        if len(sizes) != n:
-            raise ValueError(f"expected {n} label sizes, got {len(sizes)}")
+    graph = complete_graph(len(differences))
+    if not all(_is_int(d) and d >= 1 for d in differences):
+        raise ValueError(f"differences must all be integers >= 1, got {differences!r}")
+    vertices = graph.vertices
+    sizes = (sizes,) * len(vertices) if isinstance(sizes, int) else tuple(sizes)
+    if len(sizes) != len(vertices):
+        raise ValueError(f"expected {len(vertices)} label sizes, got {len(sizes)}")
     if not all(_is_int(s) and s >= MIN_ARITHMETIC_LENGTH for s in sizes):
         raise ValueError(f"label sizes must all be integers >= {MIN_ARITHMETIC_LENGTH}")
-    part_one_min = min(sizes[:r])
-    if not _is_int(k) or not 1 <= k <= part_one_min:
-        raise ValueError(
-            f"multiplier k must be an integer in [1, {part_one_min}] "
-            f"(smallest part-one label size), got {k!r}"
-        )
 
-    vertices = graph.vertices
-    differences = {v: (d if i < r else k * d) for i, v in enumerate(vertices)}
-    labels = _progression_labels(vertices, differences, dict(zip(vertices, sizes)))
-    return LabeledGraph(graph, labels)
+    labels = _progression_labels(
+        vertices, dict(zip(vertices, differences)), dict(zip(vertices, sizes))
+    )
+    lg = LabeledGraph(graph, labels)
+    report = check_multiplier_condition(lg)
+    if not report.ok:
+        raise ValueError(f"not an arithmetic labeling: {report.violations[0]}")
+    return lg

@@ -19,6 +19,7 @@ from iasi import (
     GraphValidationError,
     LabelCollisionError,
     LabeledGraph,
+    NotArithmeticError,
     SchemaError,
     check_one_graph,
     complete_graph,
@@ -181,16 +182,24 @@ P3_3_6_2 = [
 ]
 
 
-def test_check_labeling_runs_on_any_labeling():
-    graph = path_graph(3)
-    vertices = graph.vertices
+def p3_labeling(differences):
+    vertices = path_graph(3).vertices
     labels = _progression_labels(
-        vertices, dict(zip(vertices, (3, 6, 2))), dict.fromkeys(vertices, 3)
+        vertices, dict(zip(vertices, differences)), dict.fromkeys(vertices, 3)
     )
-    records = catalog._check_labeling(LabeledGraph(graph, labels), "fixed")
+    return LabeledGraph(path_graph(3), labels)
+
+
+def test_check_labeling_runs_on_any_labeling():
+    records = catalog._check_labeling(p3_labeling((3, 6, 2)), "fixed")
     assert [(r.graph_id, r.check, r.outcome, r.witness) for r in records] == [
         ("a-b,b-c", f"{name}/fixed", outcome, witness) for name, outcome, witness in P3_3_6_2
     ]
+
+    # every edge label must be a progression too: with differences 1, 5, 1
+    # the multiplier 5 breaks the bound 3 and the gcd check cannot index an edge
+    with pytest.raises(NotArithmeticError, match="edge"):
+        catalog._check_labeling(p3_labeling((1, 5, 1)), "fixed")
 
     # a catalog graph's records are its construction, then the claims on what it built
     for graph in enumerate_connected_graphs(4):
@@ -314,7 +323,9 @@ def test_sweep_memory_does_not_grow_with_the_catalog():
     assert peak(5) <= 2 * peak(4)
 
 
-@pytest.mark.parametrize("bad", [{"max_n": 1}, {"seed": -1}, {"policies": ("bogus",)}])
+@pytest.mark.parametrize(
+    "bad", [{"max_n": 1}, {"seed": -1}, {"policies": ("bogus",)}, {"policies": ()}]
+)
 def test_bad_arguments_leave_records_file_untouched(tmp_path, bad):
     path = tmp_path / "records.jsonl"
     path.write_bytes(b"earlier sweep\n")

@@ -1,5 +1,6 @@
 """Constructive labelers: arbitrary graphs and complete graphs."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from iasi import (
     ConstructionParams,
     Graph,
+    LabelOverflowError,
     LabeledGraph,
     check_gcd_invariant,
     check_multiplier_condition,
@@ -25,6 +27,7 @@ from iasi import (
     star_graph,
     verify_iasi,
 )
+from iasi.construct import _progression_labels
 
 
 def assert_arithmetic(lg):
@@ -46,8 +49,12 @@ def test_params_validation():
         ConstructionParams(label_size_range=(5, 4))
     with pytest.raises(ValueError):
         ConstructionParams(multiplier_policy="biggest")
-    # a float or a bool is refused up front, naming the field, not deep in random
+    # a float, a bool or a range that is not a pair is refused up front,
+    # naming the field, not deep in random or in unpacking
     for field, value in [
+        ("label_size_range", 5),
+        ("label_size_range", (3,)),
+        ("label_size_range", (3, 3, 3)),
         ("label_size_range", (3.5, 4)),
         ("label_size_range", (3.0, 3.0)),
         ("label_size_range", (True, 4)),
@@ -105,7 +112,7 @@ def test_distinct_sum_sequence_rejects_bad_counts(count, error):
 
 def test_single_edge_frozen_example():
     # differences 2 and 3 * 2, sizes 3 and 4; stride 2 * (3 * 6) + 1 = 37
-    lg = construct_complete((1, 1), d=2, k=3, sizes=(3, 4))
+    lg = construct_complete((2, 6), sizes=(3, 4))
     assert tuple(lg.vertex_labels["a"]) == (37, 39, 41)
     assert tuple(lg.vertex_labels["b"]) == (74, 80, 86, 92)
     edge = lg.edge_labels[("a", "b")]
@@ -297,7 +304,7 @@ def test_any_seed_constructs_arithmetic(seed):
 
 
 def test_complete_frozen_example():
-    lg = construct_complete((2, 2), d=3, k=2, sizes=3)
+    lg = construct_complete((3, 3, 6, 6), sizes=3)
     assert_arithmetic(lg)
     diffs = {v: detect_ap(s).difference for v, s in lg.vertex_labels.items()}
     assert diffs == {"a": 3, "b": 3, "c": 6, "d": 6}
@@ -309,57 +316,118 @@ def test_complete_frozen_example():
 
 
 def test_complete_multiplier_bound():
-    with pytest.raises(ValueError):
-        construct_complete((2, 2), d=3, k=4, sizes=3)
+    # the first violation check_multiplier_condition finds, edge, k and bound
+    with pytest.raises(ValueError, match=r"edge \('a', 'c'\): multiplier 4 exceeds .* bound 3"):
+        construct_complete((3, 3, 12, 12), sizes=3)
+    with pytest.raises(ValueError, match=r"edge \('a', 'b'\): difference 3 is not a multiple of 2"):
+        construct_complete((2, 3), sizes=4)
+    # the bound is the smaller-difference label's size, not the larger's
+    construct_complete((1, 4), sizes=(4, 3))
+    with pytest.raises(ValueError, match="multiplier 4 exceeds the cardinality bound 3"):
+        construct_complete((1, 4), sizes=(3, 4))
 
 
-def test_complete_part_validation():
-    with pytest.raises(ValueError, match="part sizes"):
-        construct_complete((0, 4), d=1, k=1)
-    with pytest.raises(ValueError, match="part sizes"):
-        construct_complete((2, -1), d=1, k=1)
-    with pytest.raises(ValueError, match="part sizes"):
-        construct_complete((True, 2), d=1, k=1)
-    with pytest.raises(ValueError, match="part sizes"):
-        construct_complete((2.0, 1.0), d=1, k=1)
+def test_complete_input_validation():
     with pytest.raises(ValueError):
-        construct_complete((1, 0), d=1, k=1)  # K1 has no edge
+        construct_complete(())  # no vertex
+    with pytest.raises(ValueError):
+        construct_complete((1,))  # K1 has no edge
+    for differences in [(1, 0), (1, -1), (True, 1), (1, 2.0), (1, 1, True, True)]:
+        with pytest.raises(ValueError, match="differences must all be integers"):
+            construct_complete(differences)
     with pytest.raises(ValueError, match="expected 4 label sizes"):
-        construct_complete((2, 2), d=1, k=1, sizes=(3, 3, 3))
-    with pytest.raises(ValueError, match="difference d"):
-        construct_complete((2, 2), d=True, k=1)
-    with pytest.raises(ValueError, match="multiplier k"):
-        construct_complete((2, 2), d=1, k=True)
-    with pytest.raises(ValueError, match="multiplier k"):
-        construct_complete((2, 2), d=1, k=2.0)
+        construct_complete((1, 1, 1, 1), sizes=(3, 3, 3))
     with pytest.raises(ValueError, match="label sizes"):
-        construct_complete((2, 2), d=1, k=1, sizes=(3, 3.0, 3, 3))
+        construct_complete((1, 1, 2, 2), sizes=(3, 3.0, 3, 3))
+    with pytest.raises(ValueError, match="label sizes"):
+        construct_complete((1, 1), sizes=2)
+
+
+def test_complete_overflow_before_the_multiplier_check():
+    # the multiplier 2**62 breaks the bound 3, but the layout's stride,
+    # 2 * (2 * 2**62) + 1, is already past 64 bits
+    with pytest.raises(LabelOverflowError):
+        construct_complete((1, 2**62), sizes=3)
 
 
 def test_complete_beyond_26_vertices():
-    lg = construct_complete((20, 20), d=1, k=3, sizes=3)
+    lg = construct_complete((1,) * 20 + (3,) * 20, sizes=3)
     assert len(lg.graph.vertices) == 40
     assert_arithmetic(lg)
     assert check_multiplier_condition(lg).ok
 
 
 def test_complete_single_band():
-    lg = construct_complete((5, 0), d=2, k=1, sizes=4)
+    lg = construct_complete((2,) * 5, sizes=4)
     assert_arithmetic(lg)
     assert {detect_ap(s).difference for s in lg.vertex_labels.values()} == {2}
 
 
 def test_complete_per_vertex_sizes():
-    lg = construct_complete((1, 3), d=1, k=3, sizes=(3, 4, 5, 6))
+    lg = construct_complete((1, 3, 3, 3), sizes=(3, 4, 5, 6))
     assert_arithmetic(lg)
     assert [len(lg.vertex_labels[v]) for v in lg.graph.vertices] == [3, 4, 5, 6]
+
+
+# divisor-rich differences: chains of ratio 2 and 3 up to 16
+BAND_BOX = (1, 2, 3, 4, 6, 8, 12, 16)
+
+
+def sumset_is_progression(a, b):
+    """Brute force: every pair sum, sorted, has one gap."""
+    sums = sorted({x + y for x in a for y in b})
+    return len({y - x for x, y in zip(sums, sums[1:])}) == 1
+
+
+def band_law_cases():
+    """(differences, sizes) on K3-K5: uniform sizes 3..8, then mixed sizes."""
+    for n, size_choices in [(3, None), (4, None), (5, None), (3, (3, 4, 5)), (4, (3, 4))]:
+        if size_choices is None:
+            size_tuples = [(l,) * n for l in range(3, 9)]
+        else:
+            size_tuples = list(itertools.product(size_choices, repeat=n))
+        for differences in itertools.combinations_with_replacement(BAND_BOX, n):
+            for sizes in size_tuples:
+                yield differences, sizes
+
+
+def test_complete_band_law():
+    # construct_complete succeeds exactly when every edge of the layout is a
+    # progression by brute-force sums; no multiplier check is consulted here
+    most_bands = {}
+    cases = 0
+    for differences, sizes in band_law_cases():
+        cases += 1
+        vertices = complete_graph(len(differences)).vertices
+        layout = _progression_labels(
+            vertices, dict(zip(vertices, differences)), dict(zip(vertices, sizes))
+        )
+        arithmetic = all(
+            sumset_is_progression(layout[u], layout[v])
+            for u, v in itertools.combinations(vertices, 2)
+        )
+        try:
+            lg = construct_complete(differences, sizes=sizes)
+        except ValueError:
+            assert not arithmetic, (differences, sizes)
+            continue
+        assert arithmetic, (differences, sizes)
+        assert lg.vertex_labels == layout
+        if len(set(sizes)) == 1:
+            key = (len(differences), sizes[0])
+            most_bands[key] = max(most_bands.get(key, 0), len(set(differences)))
+    assert cases == 15972
+    # with one label size l, K_n takes min(n, floor(log2 l) + 1) distinct differences
+    assert most_bands == {
+        (n, l): min(n, l.bit_length()) for n in (3, 4, 5) for l in range(3, 9)
+    }
 
 
 # --------------------------------------------------------------- restriction
 
 
 def test_restriction_preserves_arithmetic():
-    lg = construct_complete((2, 2), d=1, k=2, sizes=3)
+    lg = construct_complete((1, 1, 2, 2), sizes=3)
     spanning_path = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
     restricted = LabeledGraph(spanning_path, lg.vertex_labels)
     assert_arithmetic(restricted)
@@ -367,6 +435,6 @@ def test_restriction_preserves_arithmetic():
 
 
 def test_restriction_to_single_edge():
-    lg = construct_complete((2, 2), d=1, k=2, sizes=3)
+    lg = construct_complete((1, 1, 2, 2), sizes=3)
     edge = Graph(["a", "b"], [("a", "b")])
     assert_arithmetic(LabeledGraph(edge, {v: lg.vertex_labels[v] for v in edge.vertices}))
