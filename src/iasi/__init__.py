@@ -24,7 +24,6 @@ from .graphs import (
     LabeledGraph,
     complete_graph,
     cycle_graph,
-    find_graph_violations,
     path_graph,
     star_graph,
 )
@@ -39,7 +38,6 @@ from .classify import (
     check_gcd_invariant,
     check_multiplier_condition,
     check_singleton_endpoint_rule,
-    check_uniformity,
     classify_arithmetic,
     classify_edges,
     verify_iasi,
@@ -59,7 +57,6 @@ from .transforms import (
     to_total_graph,
 )
 from .io import (
-    document_dict,
     document_text,
     dot_text,
     export_dot,

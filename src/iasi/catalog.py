@@ -282,16 +282,17 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
     ``records_path`` (``os.devnull`` when None) as soon as the graph is
     checked; returns the summary.
 
-    ``max_n``, the policies (at least one) and the seed are checked before
-    the file is opened, so bad arguments leave an existing file untouched,
-    and a sweep that stops on an error leaves the lines of every graph
-    before the one that failed. The stream is deterministic for a given
-    (max_n, policies, seed): graphs in enumeration order, checks in a fixed
-    sequence, the K3 probe last. Every shard, from n=2 up, goes through one
-    ``_workers.dealt`` call: a sweep up to ``_PARENT_MAX_N`` vertices runs
-    in this process, a larger one on one forked worker per CPU, and the
-    stream is the same either way. Only counters are kept; the summary
-    counts outcomes and carries the sweep's elapsed time.
+    ``max_n``, the policies (an iterable of at least one name, not a bare
+    string) and the seed are checked before the file is opened, so bad
+    arguments leave an existing file untouched, and a sweep that stops on
+    an error leaves the lines of every graph before the one that failed.
+    The stream is deterministic for a given (max_n, policies, seed): graphs
+    in enumeration order, checks in a fixed sequence, the K3 probe last.
+    Every shard, from n=2 up, goes through one ``_workers.dealt`` call: a
+    sweep up to ``_PARENT_MAX_N`` vertices runs in this process, a larger
+    one on one forked worker per CPU, and the stream is the same either way.
+    Only counters are kept; the summary counts outcomes and carries the
+    sweep's elapsed time.
     """
     # imported here, not at the top: only a sweep uses the workers, so
     # importing iasi costs what it did before they existed
@@ -299,6 +300,9 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
 
     started = time.perf_counter()
     enumerate_connected_graphs(max_n)  # checks max_n
+    if isinstance(policies, str):
+        raise ValueError(f"policies must be an iterable of names, not the string {policies!r}")
+    policies = tuple(policies)  # validated and swept alike, even from an iterator
     for policy in policies:
         _params(policy, seed)
     if not policies:

@@ -27,7 +27,6 @@ __all__ = [
     "verify_iasi",
     "EdgeClassification",
     "classify_edges",
-    "check_uniformity",
     "ClassificationReport",
     "classify_arithmetic",
     "MultiplierViolation",
@@ -141,15 +140,6 @@ def classify_edges(lg: LabeledGraph) -> dict:
     return out
 
 
-def check_uniformity(lg: LabeledGraph) -> tuple[int | None, int | None]:
-    """(k, l): the common edge label size and common vertex label size, if any."""
-    edge_sizes = {len(s) for s in lg.edge_labels.values()}
-    vertex_sizes = {len(s) for s in lg.vertex_labels.values()}
-    k = edge_sizes.pop() if len(edge_sizes) == 1 else None
-    l = vertex_sizes.pop() if len(vertex_sizes) == 1 else None
-    return k, l
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """The labeling-level classes and the witnesses that explain them.
@@ -159,6 +149,8 @@ class ClassificationReport:
     the vertex half but lose the edge half: ``semi_arithmetic`` when at
     least one edge label is not a progression, ``strict_semi_arithmetic``
     when none is. A singleton edge label counts as a progression.
+    ``uniform_k`` and ``vertex_uniform_l`` are the common edge and vertex
+    label sizes, None when the sizes differ.
 
     Non-injective labelings are still classified; ``is_iasi`` is the flag to
     check before trusting anything else. Per-edge weak/strong grades are
@@ -190,7 +182,8 @@ def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
 
 def _classify(lg: LabeledGraph) -> ClassificationReport:
     injectivity = verify_iasi(lg)
-    uniform_k, vertex_uniform_l = check_uniformity(lg)
+    edge_sizes = {len(s) for s in lg.edge_labels.values()}
+    vertex_sizes = {len(s) for s in lg.vertex_labels.values()}
     vertex_arithmetic = all(
         type(s) is APSet and len(s) >= MIN_ARITHMETIC_LENGTH for s in lg.vertex_labels.values()
     )
@@ -199,8 +192,8 @@ def _classify(lg: LabeledGraph) -> ClassificationReport:
     return ClassificationReport(
         is_iasi=injectivity.is_iasi,
         collision=injectivity.collision,
-        uniform_k=uniform_k,
-        vertex_uniform_l=vertex_uniform_l,
+        uniform_k=edge_sizes.pop() if len(edge_sizes) == 1 else None,
+        vertex_uniform_l=vertex_sizes.pop() if len(vertex_sizes) == 1 else None,
         vertex_arithmetic=vertex_arithmetic,
         edge_arithmetic=edge_arithmetic,
         arithmetic=vertex_arithmetic and edge_arithmetic,

@@ -159,7 +159,7 @@ def _cmd_construct(args) -> int:
             "is_iasi": report.is_iasi,
             "arithmetic": report.arithmetic,
             "fallback": result.fallback_applied,
-            "capped": len(result.diagnostics["capped"]),
+            "capped": len(result.capped),
         }
     )
     return EXIT_PASS if report.is_iasi and report.arithmetic else EXIT_FAIL

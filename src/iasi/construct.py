@@ -23,7 +23,7 @@ every edge sum within 64 bits; a multiplier that would leave it is cut to
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 from .classify import MIN_ARITHMETIC_LENGTH, check_multiplier_condition
@@ -115,18 +115,22 @@ class ConstructionParams:
 class ConstructionResult:
     """A constructed labeling plus what happened on the way.
 
-    fallback_applied means the multi-neighbor difference constraints could
-    not all be met and the whole graph was relabeled with the uniform base
-    difference (which always works); fallback_vertex names the trigger.
-    diagnostics holds the breadth-first "traversal" order and the vertices
-    whose multiplier the difference budget "capped" to 1 (none after a
-    fallback, which resets every difference).
+    fallback_vertex names the vertex whose multi-neighbor difference
+    constraints could not all be met, after which the whole graph was
+    relabeled with the uniform base difference (which always works);
+    fallback_applied says whether that happened. capped lists, in
+    breadth-first order, the vertices whose multiplier the difference budget
+    cut to 1 (none after a fallback, which resets every difference). The
+    breadth-first order itself is the order of the labels' ``first`` terms.
     """
 
     labeled_graph: LabeledGraph
-    fallback_applied: bool = False
     fallback_vertex: str | None = None
-    diagnostics: dict = field(default_factory=dict)
+    capped: tuple = ()
+
+    @property
+    def fallback_applied(self) -> bool:
+        return self.fallback_vertex is not None
 
 
 def _progression_labels(order, differences: dict, sizes: dict) -> dict:
@@ -174,14 +178,15 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
 
     Multipliers compound along a path, so a k*d beyond the difference
     budget (the largest difference whose labels and edge sums all fit in
-    64 bits) is replaced by d, k=1, and the vertex is listed in
-    ``diagnostics["capped"]``. The rng is drawn from as if nothing were
-    capped, so a labeling that hits no cap is the same as without one.
+    64 bits) is replaced by d, k=1, and the vertex is listed in ``capped``.
+    The rng is drawn from as if nothing were capped, so a labeling that hits
+    no cap is the same as without one.
 
     With a base difference within the budget the result is always an
     arithmetic set-indexer. The only errors are the input checks of Graph
     and ConstructionParams, and LabelOverflowError for a base difference
-    beyond the budget. Each label's ``first`` reports the layout used.
+    beyond the budget. The labels' ``first`` terms increase strictly in
+    breadth-first order, so sorting the vertices by them recovers it.
     """
     # breadth-first from the smallest vertex of each component
     order = [v for comp in _bfs_components(graph.vertices, graph.neighbors) for v in comp]
@@ -220,12 +225,7 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
         capped = []
 
     labels = _progression_labels(order, differences, sizes)
-    return ConstructionResult(
-        labeled_graph=LabeledGraph(graph, labels),
-        fallback_applied=fallback_vertex is not None,
-        fallback_vertex=fallback_vertex,
-        diagnostics={"traversal": tuple(order), "capped": tuple(capped)},
-    )
+    return ConstructionResult(LabeledGraph(graph, labels), fallback_vertex, tuple(capped))
 
 
 def construct_complete(differences, sizes=3) -> LabeledGraph:

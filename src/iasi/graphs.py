@@ -18,7 +18,6 @@ from .sets import IntegerSet, sumset
 
 __all__ = [
     "GraphViolation",
-    "find_graph_violations",
     "Graph",
     "path_graph",
     "cycle_graph",
@@ -111,22 +110,14 @@ def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
     return violations, adjacency
 
 
-def find_graph_violations(vertices, edges) -> list[GraphViolation]:
-    """Collect every simple-graph violation in the raw data.
-
-    Checks: no vertices at all, duplicate vertex ids, self-loops, duplicate
-    edges (in either orientation), endpoints naming no vertex, and vertices
-    left without any valid incident edge.
-    """
-    return _scan(vertices, edges)[0]
-
-
 class Graph:
     """An immutable simple graph with canonical (lexicographic) ordering.
 
-    Construction validates the data and raises GraphValidationError with the
-    full violation list on bad input. Edges are stored as ordered pairs
-    (u, v) with u < v.
+    Construction validates the data and raises GraphValidationError whose
+    ``violations`` lists every problem found in one scan: no vertices at
+    all, duplicate vertex ids, self-loops, duplicate edges (in either
+    orientation), endpoints naming no vertex, and vertices left without any
+    valid incident edge. Edges are stored as ordered pairs (u, v) with u < v.
     """
 
     __slots__ = ("vertices", "edges", "_adjacency")

@@ -31,7 +31,6 @@ __all__ = [
     "load_document",
     "load_graph",
     "save_document",
-    "document_dict",
     "document_text",
     "export_dot",
     "dot_text",
@@ -132,7 +131,8 @@ def load_graph(path) -> Graph:
     return _parse_graph(_read_json(path))
 
 
-def document_dict(lg: LabeledGraph, metadata=None) -> dict:
+def document_text(lg: LabeledGraph, metadata=None) -> str:
+    """The canonical document; its "metadata" field is present only when given."""
     doc = {
         "graph": {
             "vertices": list(lg.graph.vertices),
@@ -142,11 +142,7 @@ def document_dict(lg: LabeledGraph, metadata=None) -> dict:
     }
     if metadata is not None:
         doc["metadata"] = metadata
-    return doc
-
-
-def document_text(lg: LabeledGraph, metadata=None) -> str:
-    return json.dumps(document_dict(lg, metadata), indent=2, sort_keys=False) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
 def save_document(lg: LabeledGraph, path, metadata=None):

@@ -192,28 +192,15 @@ class CompatibilityTable:
 
     ``classes`` maps each attainable sum to the ordered pairs realizing it,
     keyed in increasing sum order. The number of classes equals |A+B|; no
-    class can exceed ``saturated_bound`` = min(|A|, |B|) pairs.
+    class can exceed min(|A|, |B|) pairs.
     """
 
     classes: dict
-    saturated_bound: int
 
     @property
     def index(self) -> int:
         """Number of compatibility classes (= sumset cardinality)."""
         return len(self.classes)
-
-    @property
-    def trivial_sums(self) -> tuple:
-        """Sums realized by exactly one pair."""
-        return tuple(s for s, pairs in self.classes.items() if len(pairs) == 1)
-
-    @property
-    def saturated_sums(self) -> tuple:
-        """Sums whose class reaches the min(|A|, |B|) bound."""
-        return tuple(
-            s for s, pairs in self.classes.items() if len(pairs) == self.saturated_bound
-        )
 
     @property
     def maximal_size(self) -> int:
@@ -228,7 +215,7 @@ def compatibility_table(a, b) -> CompatibilityTable:
         for y in b:
             groups[x + y].append((x, y))
     classes = {s: tuple(sorted(groups[s])) for s in sorted(groups)}
-    return CompatibilityTable(classes=classes, saturated_bound=min(len(a), len(b)))
+    return CompatibilityTable(classes=classes)
 
 
 def predicted_edge_cardinality(m: int, n: int, k: int) -> int:

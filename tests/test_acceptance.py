@@ -143,7 +143,7 @@ def test_criterion_4_construction_on_every_small_graph():
     graphs = list(enumerate_connected_graphs(5))
     assert len(graphs) == 1 + 4 + 38 + 728
     bad = 0
-    silent_fallbacks = 0
+    uneven_fallbacks = 0
     fallbacks = 0
     for graph in graphs:
         for policy in ("fixed", "maximal"):
@@ -154,8 +154,10 @@ def test_criterion_4_construction_on_every_small_graph():
             lg = result.labeled_graph
             if result.fallback_applied:
                 fallbacks += 1
-                if result.fallback_vertex is None or not result.diagnostics:
-                    silent_fallbacks += 1
+                # a fallback relabels with the base difference alone, capping nothing
+                differences = {s.difference for s in lg.vertex_labels.values()}
+                if differences != {1} or result.capped:
+                    uneven_fallbacks += 1
             report = classify_arithmetic(lg)
             ok = (
                 verify_iasi(lg).is_iasi
@@ -166,10 +168,10 @@ def test_criterion_4_construction_on_every_small_graph():
             bad += 0 if ok else 1
     _report(
         4, "universal construction verified on all graphs up to 5 vertices",
-        bad == 0 and silent_fallbacks == 0,
+        bad == 0 and uneven_fallbacks == 0,
         time.perf_counter() - start, 60.0,
         f"{2 * len(graphs)} labelings, {bad} bad, "
-        f"{fallbacks} fallbacks ({silent_fallbacks} silent)",
+        f"{fallbacks} fallbacks ({uneven_fallbacks} not uniform)",
     )
 
 

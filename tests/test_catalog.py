@@ -324,7 +324,14 @@ def test_sweep_memory_does_not_grow_with_the_catalog():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"max_n": 1}, {"seed": -1}, {"policies": ("bogus",)}, {"policies": ()}]
+    "bad",
+    [
+        {"max_n": 1},
+        {"seed": -1},
+        {"policies": ("bogus",)},
+        {"policies": ()},
+        {"policies": "maximal"},
+    ],
 )
 def test_bad_arguments_leave_records_file_untouched(tmp_path, bad):
     path = tmp_path / "records.jsonl"
@@ -332,6 +339,19 @@ def test_bad_arguments_leave_records_file_untouched(tmp_path, bad):
     with pytest.raises(ValueError):
         run_catalog_checks(**{"max_n": 3, **bad}, records_path=path)
     assert path.read_bytes() == b"earlier sweep\n"
+
+
+def test_policies_given_as_one_string_are_rejected_by_name():
+    # a bare string would otherwise be read one character per policy
+    with pytest.raises(ValueError, match="policies must be an iterable.*'maximal'"):
+        run_catalog_checks(3, policies="maximal")
+
+
+def test_policies_from_an_iterator_are_swept():
+    # checking the names must not use up the iterator the sweep reads
+    summary = run_catalog_checks(3, policies=iter(["fixed"]))
+    assert summary["policies"] == ["fixed"]
+    assert summary["records"] == run_catalog_checks(3)["records"]
 
 
 # ------------------------------------------------------------- forked sweeps
@@ -461,8 +481,9 @@ def test_serial_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
 
 
 def test_serial_sweep_retains_no_memory(monkeypatch):
-    # the peak guards above move with when cyclic garbage is collected; this
-    # one counts only what a sweep leaves behind after a collection
+    # the peak guards above also count dead tuples parked in CPython's free
+    # lists, which only a full collection empties; this one counts only what
+    # a sweep leaves behind after one
     one_cpu(monkeypatch)
     run_catalog_checks(3, POLICIES)  # warm import-time and first-call allocations
     gc.collect()

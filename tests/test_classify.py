@@ -18,7 +18,6 @@ from iasi import (
     check_gcd_invariant,
     check_multiplier_condition,
     check_singleton_endpoint_rule,
-    check_uniformity,
     classify_arithmetic,
     classify_edges,
     construct_arbitrary,
@@ -146,13 +145,14 @@ def test_uniformity_cycle():
     lg = LabeledGraph(
         g, {"a": {0, 1, 2}, "b": {10, 11, 12}, "c": {30, 31, 32}}
     )
-    assert check_uniformity(lg) == (5, 3)
+    report = classify_arithmetic(lg)
+    assert (report.uniform_k, report.vertex_uniform_l) == (5, 3)
 
 
 def test_uniformity_absent():
     lg = p3({0, 1, 2}, {10, 11, 12}, {30, 31, 32, 33})
-    k, l = check_uniformity(lg)
-    assert k is None and l is None
+    report = classify_arithmetic(lg)
+    assert report.uniform_k is None and report.vertex_uniform_l is None
 
 
 # ------------------------------------------------------ arithmetic grading

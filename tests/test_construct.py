@@ -122,13 +122,9 @@ def test_single_edge_frozen_example():
 
 
 def test_cycle_with_documented_offsets():
-    # traversal from a visits a, b, d, c; offsets grow in that order
-    result = construct_arbitrary(cycle_graph(4), ConstructionParams())
-    order = result.diagnostics["traversal"]
-    assert order == ("a", "b", "d", "c")
-    lg = result.labeled_graph
-    offsets = [lg.vertex_labels[v].first for v in order]
-    assert offsets == sorted(set(offsets))
+    # traversal from a visits a, b, d, c; offsets 1, 2, 3, 5 times stride 2 * 2 + 1
+    lg = construct_arbitrary(cycle_graph(4), ConstructionParams()).labeled_graph
+    assert [lg.vertex_labels[v].first for v in "abdc"] == [5, 10, 15, 25]
     assert_arithmetic(lg)
     for label in lg.edge_labels.values():
         assert detect_ap(label).difference == 1
@@ -245,17 +241,70 @@ def test_automatic_offsets_always_succeed(graph, policy, size_range, seed):
     assert check_gcd_invariant(lg).ok
 
 
+@st.composite
+def small_graphs(draw):
+    """Any graph on up to 8 vertices of one- or two-letter names, often disconnected."""
+    names = st.text(alphabet="abcd", min_size=1, max_size=2)
+    edges = draw(
+        st.lists(
+            st.tuples(names, names).filter(lambda e: e[0] != e[1]),
+            min_size=1,
+            max_size=8,
+            unique_by=frozenset,
+        )
+    )
+    return Graph({v for e in edges for v in e}, edges)
+
+
+def reference_bfs_order(graph):
+    """Breadth-first from the smallest unvisited vertex, neighbours in sorted order."""
+    neighbours = {v: [] for v in graph.vertices}
+    for u, v in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    order = []
+    for root in sorted(graph.vertices):
+        if root in order:
+            continue
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            if v not in order:
+                order.append(v)
+                queue += sorted(neighbours[v])
+    return order
+
+
+@given(
+    small_graphs(),
+    st.sampled_from(["fixed", "random", "maximal"]),
+    st.tuples(st.integers(3, 6), st.integers(3, 6)).map(sorted).map(tuple),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_first_terms_follow_the_breadth_first_order(graph, policy, size_range, seed):
+    """Sorting the vertices by label ``first`` gives the construction's traversal."""
+    result = construct_arbitrary(
+        graph,
+        ConstructionParams(multiplier_policy=policy, seed=seed, label_size_range=size_range),
+    )
+    labels = result.labeled_graph.vertex_labels
+    firsts = [labels[v].first for v in graph.vertices]
+    assert len(set(firsts)) == len(firsts)
+    assert sorted(graph.vertices, key=lambda v: labels[v].first) == reference_bfs_order(graph)
+
+
 def test_deep_path_caps_multipliers():
     result = construct_arbitrary(
         path_graph(48), ConstructionParams(multiplier_policy="maximal", label_size_range=(3, 6))
     )
-    capped = result.diagnostics["capped"]
+    capped = result.capped
     assert capped
     assert_arithmetic(result.labeled_graph)
     assert check_multiplier_condition(result.labeled_graph).ok
     # a capped vertex keeps its parent's difference, k = 1
     labels = result.labeled_graph.vertex_labels
-    order = result.diagnostics["traversal"]
+    order = path_graph(48).vertices
     for v in capped:
         parent = order[order.index(v) - 1]
         assert labels[v].difference == labels[parent].difference
@@ -267,7 +316,7 @@ def test_catalog_graphs_never_hit_the_cap():
             result = construct_arbitrary(
                 graph, ConstructionParams(multiplier_policy=policy, seed=0)
             )
-            assert result.diagnostics["capped"] == (), (graph, policy)
+            assert result.capped == (), (graph, policy)
 
 
 def test_capped_multiplier_leaves_rng_draws_alone():
@@ -277,8 +326,8 @@ def test_capped_multiplier_leaves_rng_draws_alone():
     params = ConstructionParams(multiplier_policy="random", seed=4, label_size_range=(3, 6))
     result = construct_arbitrary(path_graph(60), params)
     labels = result.labeled_graph.vertex_labels
-    order = result.diagnostics["traversal"]
-    capped = set(result.diagnostics["capped"])
+    order = path_graph(60).vertices
+    capped = set(result.capped)
     assert capped
     rng = random.Random(params.seed)
     sizes = [rng.randint(3, 6) for _ in order]

@@ -13,7 +13,6 @@ from iasi import (
     LabeledGraph,
     LabelOverflowError,
     U64_MAX,
-    find_graph_violations,
     verify_iasi,
 )
 
@@ -22,34 +21,43 @@ def kinds(violations):
     return {v.kind for v in violations}
 
 
+def graph_violations(vertices, edges):
+    """The violations Graph raises on the raw data; [] when it builds a graph."""
+    try:
+        Graph(vertices, edges)
+    except GraphValidationError as exc:
+        return list(exc.violations)
+    return []
+
+
 def test_self_loop_reported():
-    vs = find_graph_violations(["a"], [("a", "a")])
+    vs = graph_violations(["a"], [("a", "a")])
     assert "self-loop" in kinds(vs)
 
 
 def test_duplicate_edge_either_orientation():
-    vs = find_graph_violations(["a", "b"], [("a", "b"), ("b", "a")])
+    vs = graph_violations(["a", "b"], [("a", "b"), ("b", "a")])
     assert kinds(vs) == {"duplicate-edge"}
 
 
 def test_isolated_vertex_reported():
-    vs = find_graph_violations(["a", "b", "c"], [("a", "b")])
+    vs = graph_violations(["a", "b", "c"], [("a", "b")])
     assert kinds(vs) == {"isolated-vertex"}
     assert any(v.element == "c" for v in vs)
 
 
 def test_dangling_endpoint_reported():
-    vs = find_graph_violations(["a", "b"], [("a", "b"), ("a", "x")])
+    vs = graph_violations(["a", "b"], [("a", "b"), ("a", "x")])
     assert "dangling-endpoint" in kinds(vs)
 
 
 def test_duplicate_vertex_reported():
-    vs = find_graph_violations(["a", "b", "a"], [("a", "b")])
+    vs = graph_violations(["a", "b", "a"], [("a", "b")])
     assert "duplicate-vertex" in kinds(vs)
 
 
 def test_empty_graph_rejected():
-    assert kinds(find_graph_violations([], [])) == {"empty-graph"}
+    assert kinds(graph_violations([], [])) == {"empty-graph"}
     with pytest.raises(GraphValidationError, match="empty-graph"):
         Graph([], [])
 
@@ -179,7 +187,6 @@ def raw_graphs(draw):
 def test_one_scan_matches_two_pass_reference(data):
     vertices, edges = data
     expected = reference_violations(vertices, edges)
-    assert find_graph_violations(vertices, edges) == expected
     if expected:
         with pytest.raises(GraphValidationError) as exc:
             Graph(vertices, edges)

@@ -16,7 +16,6 @@ from iasi import (
     LabelOverflowError,
     SchemaError,
     construct_arbitrary,
-    document_dict,
     document_text,
     dot_text,
     export_dot,
@@ -74,8 +73,8 @@ def test_document_text_shape():
 
 
 def test_metadata_only_present_when_given():
-    assert "metadata" not in document_dict(sample_lg())
-    assert document_dict(sample_lg(), metadata={"a": 1})["metadata"] == {"a": 1}
+    assert "metadata" not in json.loads(document_text(sample_lg()))
+    assert json.loads(document_text(sample_lg(), metadata={"a": 1}))["metadata"] == {"a": 1}
 
 
 def test_load_graph_ignores_labels(tmp_path):

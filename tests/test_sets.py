@@ -132,16 +132,15 @@ def test_sumset_cardinality_bounds(a, b):
 def test_compatibility_frozen_example():
     t = compatibility_table({1, 2}, {3, 4})
     assert t.index == 3
-    assert t.classes[5] == ((1, 4), (2, 3))
-    assert t.saturated_sums == (5,)
-    assert t.trivial_sums == (4, 6)
+    assert t.classes == {4: ((1, 3),), 5: ((1, 4), (2, 3)), 6: ((2, 4),)}
+    assert t.maximal_size == 2
 
 
 def test_compatibility_equal_sets():
     t = compatibility_table({0, 1, 2}, {0, 1, 2})
     assert t.index == 5
     assert t.classes[2] == ((0, 2), (1, 1), (2, 0))
-    assert t.maximal_size == 3 == t.saturated_bound
+    assert t.maximal_size == 3
 
 
 @given(small_sets, small_sets)
