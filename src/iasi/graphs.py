@@ -3,8 +3,8 @@
 Graphs are undirected, loop-free, without parallel edges, and (by this
 package's convention) without isolated vertices, since an unlabeled edge
 endpoint is the only thing a labeling can act on. Vertex identifiers are
-opaque strings; every ordering in reports and serialization is plain
-lexicographic so output is deterministic.
+opaque strings (``Graph`` rejects any other type); every ordering in
+reports and serialization is plain lexicographic so output is deterministic.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ __all__ = [
 @dataclass(frozen=True)
 class GraphViolation:
     # empty-graph | self-loop | duplicate-edge | duplicate-vertex |
-    # isolated-vertex | dangling-endpoint
+    # non-string-vertex | isolated-vertex | dangling-endpoint
     kind: str
-    element: tuple | str
+    element: object
 
     def __str__(self):
         return f"{self.kind} at {self.element!r}"
@@ -89,6 +89,8 @@ def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
             violations.append(GraphViolation("duplicate-vertex", v))
         else:
             adjacency[v] = set()
+            if not isinstance(v, str):  # kept above, so its edges report no dangling end
+                violations.append(GraphViolation("non-string-vertex", v))
     if not adjacency:
         violations.append(GraphViolation("empty-graph", ()))
 
@@ -100,12 +102,14 @@ def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
         if dangling:
             violations += [GraphViolation("dangling-endpoint", (u, v))] * dangling
         elif v in adjacency[u]:
-            violations.append(GraphViolation("duplicate-edge", _canonical_edge(u, v)))
+            # a non-string end has no canonical order and is reported as a vertex
+            if isinstance(u, str) and isinstance(v, str):
+                violations.append(GraphViolation("duplicate-edge", _canonical_edge(u, v)))
         else:
             adjacency[u].add(v)
             adjacency[v].add(u)
 
-    isolated = sorted([v for v, ns in adjacency.items() if not ns])
+    isolated = sorted([v for v, ns in adjacency.items() if not ns and isinstance(v, str)])
     violations += [GraphViolation("isolated-vertex", v) for v in isolated]
     return violations, adjacency
 
@@ -115,9 +119,11 @@ class Graph:
 
     Construction validates the data and raises GraphValidationError whose
     ``violations`` lists every problem found in one scan: no vertices at
-    all, duplicate vertex ids, self-loops, duplicate edges (in either
-    orientation), endpoints naming no vertex, and vertices left without any
-    valid incident edge. Edges are stored as ordered pairs (u, v) with u < v.
+    all, duplicate vertex ids, ids that are not strings (``non-string-vertex``,
+    once per such vertex; it is never also isolated, nor its edges
+    duplicates), self-loops, duplicate edges (in either orientation),
+    endpoints naming no vertex, and vertices left without any valid incident
+    edge. Edges are stored as ordered pairs (u, v) with u < v.
     """
 
     __slots__ = ("vertices", "edges", "_adjacency")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import GraphValidationError, SchemaError
 from .graphs import Graph, LabeledGraph
@@ -131,27 +132,56 @@ def load_graph(path) -> Graph:
     return _parse_graph(_read_json(path))
 
 
+def _decimals(label, sep: str) -> str:
+    """``sep.join(str(e) for e in label)``, formatted by one % over the label's tuple."""
+    return (("%d" + sep) * len(label))[: -len(sep)] % label
+
+
+# The indent=2 layout of json.dumps for {"graph": {"vertices", "edges"}, "labels"}.
+_DOCUMENT = """{
+  "graph": {
+    "vertices": [
+      %s
+    ],
+    "edges": [
+      %s
+    ]
+  },
+  "labels": {
+    %s
+  }"""
+
+
 def document_text(lg: LabeledGraph, metadata=None) -> str:
-    """The canonical document; its "metadata" field is present only when given."""
-    doc = {
-        "graph": {
-            "vertices": list(lg.graph.vertices),
-            "edges": [list(e) for e in lg.graph.edges],
-        },
-        "labels": {v: list(lg.vertex_labels[v]) for v in lg.graph.vertices},
-    }
+    """The canonical document; its "metadata" field is present only when given.
+
+    The text is ``json.dumps(doc, indent=2) + "\n"`` of the document's dict,
+    written directly so that no element passes through the pure-Python
+    encoder that ``indent`` selects. Every array here is non-empty (a graph has
+    a vertex and an edge, a label an element), so none needs the ``[]`` form.
+    """
+    quoted = {v: _quote(v) for v in lg.graph.vertices}
+    edges = [
+        "[\n        %s,\n        %s\n      ]" % (quoted[u], quoted[v]) for u, v in lg.graph.edges
+    ]
+    labels = [
+        "%s: [\n      %s\n    ]" % (quoted[v], _decimals(label, ",\n      "))
+        for v, label in lg.vertex_labels.items()
+    ]
+    text = _DOCUMENT % (
+        ",\n      ".join(quoted.values()),
+        ",\n      ".join(edges),
+        ",\n    ".join(labels),
+    )
     if metadata is not None:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        # exact: a JSON string holds no raw newline, so every one is layout
+        text += ',\n  "metadata": ' + json.dumps(metadata, indent=2).replace("\n", "\n  ")
+    return text + "\n}\n"
 
 
 def save_document(lg: LabeledGraph, path, metadata=None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(document_text(lg, metadata))
-
-
-def _format_set(label) -> str:
-    return "{%s}" % ",".join(str(e) for e in label)
 
 
 def _dot_id(name: str) -> str:
@@ -161,12 +191,16 @@ def _dot_id(name: str) -> str:
 
 def dot_text(lg: LabeledGraph) -> str:
     """Graphviz source with one node/edge line per element, label attributes set."""
+    ids = {v: _dot_id(v) for v in lg.graph.vertices}
     lines = ["graph G {"]
-    for v in lg.graph.vertices:
-        lines.append(f'  {_dot_id(v)} [label="{_format_set(lg.vertex_labels[v])}"];')
-    for u, v in lg.graph.edges:
-        label = _format_set(lg.edge_labels[(u, v)])
-        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [label="{label}"];')
+    lines += [
+        '  %s [label="{%s}"];' % (ids[v], _decimals(label, ","))
+        for v, label in lg.vertex_labels.items()
+    ]
+    lines += [
+        '  %s -- %s [label="{%s}"];' % (ids[u], ids[v], _decimals(label, ","))
+        for (u, v), label in lg.edge_labels.items()
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

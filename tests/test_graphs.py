@@ -51,6 +51,18 @@ def test_dangling_endpoint_reported():
     assert "dangling-endpoint" in kinds(vs)
 
 
+def test_non_string_vertex_reported():
+    # once per vertex: its edges name a known vertex, and it is not isolated
+    vs = graph_violations([1, 2, "a", "b", (3,)], [(1, 2), ("a", "b"), (1, "a"), ("a", 1)])
+    assert vs == [
+        GraphViolation("non-string-vertex", 1),
+        GraphViolation("non-string-vertex", 2),
+        GraphViolation("non-string-vertex", (3,)),
+    ]
+    with pytest.raises(GraphValidationError, match="non-string-vertex at 1"):
+        Graph([1, 2], [(1, 2)])
+
+
 def test_duplicate_vertex_reported():
     vs = graph_violations(["a", "b", "a"], [("a", "b")])
     assert "duplicate-vertex" in kinds(vs)
@@ -129,6 +141,8 @@ def reference_violations(vertices, edges):
     for v in vertices:
         if v in seen:
             violations.append(GraphViolation("duplicate-vertex", v))
+        elif not isinstance(v, str):
+            violations.append(GraphViolation("non-string-vertex", v))
         seen.add(v)
     seen_edges, touched = set(), set()
     for u, v in edges:
@@ -139,13 +153,14 @@ def reference_violations(vertices, edges):
         violations += [GraphViolation("dangling-endpoint", (u, v)) for _ in dangling]
         if dangling:
             continue
-        e = (u, v) if u <= v else (v, u)
+        e = frozenset((u, v))
         if e in seen_edges:
-            violations.append(GraphViolation("duplicate-edge", e))
+            if isinstance(u, str) and isinstance(v, str):
+                violations.append(GraphViolation("duplicate-edge", tuple(sorted(e))))
             continue
         seen_edges.add(e)
         touched.update(e)
-    for v in sorted(vset):
+    for v in sorted(v for v in vset if isinstance(v, str)):
         if v not in touched:
             violations.append(GraphViolation("isolated-vertex", v))
     return violations
@@ -162,6 +177,8 @@ def reference_build(vertices, edges):
 
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
+# raw data may also name vertices by non-string ids
+raw_names = st.one_of(names, st.sampled_from([1, 2, None]))
 
 
 @st.composite
@@ -177,8 +194,8 @@ def raw_graphs(draw):
         )
         vertices = draw(st.permutations(sorted({x for e in edges for x in e})))
         return vertices, edges
-    vertices = draw(st.lists(names, max_size=6))
-    edges = draw(st.lists(st.tuples(names, names), max_size=8))
+    vertices = draw(st.lists(raw_names, max_size=6))
+    edges = draw(st.lists(st.tuples(raw_names, raw_names), max_size=8))
     return vertices, edges
 
 

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iasi.io
 import iasi.sets
@@ -70,6 +72,62 @@ def test_document_text_shape():
     doc = json.loads(text)
     assert list(doc) == ["graph", "labels"]
     assert doc["labels"]["w"] == [20, 22, 24]
+
+
+SAMPLE_DOCUMENT = """{
+  "graph": {
+    "vertices": [
+      "u",
+      "v",
+      "w"
+    ],
+    "edges": [
+      [
+        "u",
+        "v"
+      ],
+      [
+        "v",
+        "w"
+      ]
+    ]
+  },
+  "labels": {
+    "u": [
+      0,
+      1,
+      2
+    ],
+    "v": [
+      10,
+      11,
+      12
+    ],
+    "w": [
+      20,
+      22,
+      24
+    ]
+  }%s
+}
+"""
+
+SAMPLE_METADATA = """,
+  "metadata": {
+    "seed": 7,
+    "params": {
+      "sizes": [
+        3,
+        5
+      ]
+    }
+  }"""
+
+
+def test_document_frozen_bytes():
+    assert document_text(sample_lg()) == SAMPLE_DOCUMENT % ""
+    metadata = {"seed": 7, "params": {"sizes": [3, 5]}}
+    assert document_text(sample_lg(), metadata) == SAMPLE_DOCUMENT % SAMPLE_METADATA
 
 
 def test_metadata_only_present_when_given():
@@ -226,6 +284,18 @@ def test_dot_frozen_sample():
         '  "u" -- "v" [label="{2,3,4,5}"];\n'
         "}\n"
     )
+    # a singleton label and multi-digit elements
+    g = Graph(["p", "q", "r"], [("p", "q"), ("q", "r")])
+    lg = LabeledGraph(g, {"p": {7}, "q": {10, 25, 40}, "r": {100, 1234}})
+    assert dot_text(lg) == (
+        "graph G {\n"
+        '  "p" [label="{7}"];\n'
+        '  "q" [label="{10,25,40}"];\n'
+        '  "r" [label="{100,1234}"];\n'
+        '  "p" -- "q" [label="{17,32,47}"];\n'
+        '  "q" -- "r" [label="{110,125,140,1244,1259,1274}"];\n'
+        "}\n"
+    )
 
 
 def test_dot_escapes_quotes_and_backslashes_in_names():
@@ -247,6 +317,74 @@ def test_dot_export_is_byte_stable(tmp_path):
     export_dot(lg, b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text() == dot_text(lg)
+
+
+# The writers against references built from the labeled graph alone: the
+# document against json.dumps(indent=2) of its dict, DOT against a per-element
+# str() join. Names carry quotes, backslashes, newlines and non-ASCII text;
+# label elements reach U64_MAX // 2, so edge labels reach U64_MAX - 1.
+vertex_names = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\\n\u00e9\u4e2d\U0001f600')),
+    min_size=1,
+    max_size=5,
+).filter(lambda name: not name.startswith("-"))
+label_elements = st.one_of(st.integers(0, 40), st.integers(0, U64_MAX // 2))
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def labeled_graphs(draw):
+    names = draw(st.lists(vertex_names, min_size=2, max_size=6, unique=True))
+    # a random spanning tree leaves no vertex isolated; extra edges close cycles
+    edges = {
+        frozenset((names[i], names[draw(st.integers(0, i - 1))])) for i in range(1, len(names))
+    }
+    pairs = [frozenset(p) for p in zip(names, names[1:] + names[:1])]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    labels = {
+        v: draw(st.sets(label_elements, min_size=1, max_size=4)) for v in names
+    }
+    return LabeledGraph(Graph(names, [tuple(e) for e in edges]), labels)
+
+
+def reference_dot_id(name):
+    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def reference_set(label):
+    return "{%s}" % ",".join(str(e) for e in label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_graphs(), st.one_of(st.none(), json_values))
+def test_writers_match_references(lg, metadata):
+    doc = {
+        "graph": {
+            "vertices": list(lg.graph.vertices),
+            "edges": [list(e) for e in lg.graph.edges],
+        },
+        "labels": {v: list(lg.vertex_labels[v]) for v in lg.graph.vertices},
+    }
+    if metadata is not None:
+        doc["metadata"] = metadata
+    assert document_text(lg, metadata) == json.dumps(doc, indent=2) + "\n"
+
+    lines = ["graph G {"]
+    for v in lg.graph.vertices:
+        lines.append(f'  {reference_dot_id(v)} [label="{reference_set(lg.vertex_labels[v])}"];')
+    for u, v in lg.graph.edges:
+        label = reference_set(lg.edge_labels[(u, v)])
+        lines.append(f'  {reference_dot_id(u)} -- {reference_dot_id(v)} [label="{label}"];')
+    assert dot_text(lg) == "\n".join(lines + ["}"]) + "\n"
 
 
 # ---------------------------------------------------------------------- cli
