@@ -101,6 +101,10 @@ def _connected_graphs(shards) -> Iterator[Graph]:
             yield Graph(vertices, [(vertices[i], vertices[j]) for i, j in chosen])
 
 
+# json.dumps with these settings, without building an encoder per record
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One outcome of one check on one graph.
@@ -122,7 +126,7 @@ class CheckRecord:
             "outcome": self.outcome,
             "witness": self.witness,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _encode(payload)
 
 
 def records_jsonl(records) -> str:
@@ -231,6 +235,10 @@ def check_one_graph(graph: Graph, policy: str, seed: int):
     return [record, *_check_labeling(result.labeled_graph, policy)]
 
 
+def _first_reducible(graph: Graph):
+    return next((v for v in graph.vertices if _reduction_problem(graph, v) is None), None)
+
+
 def _check_labeling(lg: LabeledGraph, policy: str) -> list:
     """The catalog's claims on one labeling, in stream order; ``policy`` names the records.
 
@@ -249,7 +257,7 @@ def _check_labeling(lg: LabeledGraph, policy: str) -> list:
         ("transform-contract", _transform, contract_edge, lg, first_edge),
         ("transform-subdivide", _transform, subdivide, lg, first_edge),
     ]
-    reducible = next((v for v in graph.vertices if _reduction_problem(graph, v) is None), None)
+    reducible = graph._fact("reducible", _first_reducible)
     if reducible is not None:
         checks.append(("transform-reduce", _transform, reduce_topologically, lg, reducible))
     if len(graph.edges) >= 2:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .classify import MIN_ARITHMETIC_LENGTH, check_multiplier_condition
-from .graphs import Graph, LabeledGraph, _bfs_components, complete_graph
+from .graphs import Graph, LabeledGraph, complete_graph
 from .sets import U64_MAX, APSet, _bounded_multiple, _is_int
 
 __all__ = [
@@ -189,7 +189,7 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     breadth-first order, so sorting the vertices by them recovers it.
     """
     # breadth-first from the smallest vertex of each component
-    order = [v for comp in _bfs_components(graph.vertices, graph.neighbors) for v in comp]
+    order = [v for comp in graph._components() for v in comp]
     rng = random.Random(params.seed)
 
     lo, hi = params.label_size_range

@@ -80,16 +80,39 @@ def _bfs_components(vertices, neighbors) -> Iterator[list]:
         yield order
 
 
+# Tags an unhashable id's stand-in key, so that no caller's id equals one.
+_UNHASHABLE = object()
+
+
+def _key(x, unhashable: list, vertex=False):
+    """``x`` as an adjacency key: itself when hashable, else a stand-in holding
+    its index in ``unhashable`` (a new vertex joins it; -1 names no vertex)."""
+    try:
+        hash(x)
+        return x
+    except TypeError:
+        if vertex and x not in unhashable:
+            unhashable.append(x)
+        return (_UNHASHABLE, unhashable.index(x) if x in unhashable else -1)
+
+
 def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
-    """One pass over the raw data: its violations and the adjacency sets of its valid edges."""
+    """One pass over the raw data: its violations and the adjacency sets of its valid edges.
+
+    A non-string id is kept under a key of its own, so its edges report no
+    dangling end: itself when hashable, else a stand-in found again by
+    equality. Reports always name the ids as given.
+    """
     violations = []
     adjacency = {}
+    unhashable = []  # the unhashable vertex ids; each one's stand-in holds its index
     for v in vertices:
-        if v in adjacency:
+        k = v if isinstance(v, str) else _key(v, unhashable, vertex=True)
+        if k in adjacency:
             violations.append(GraphViolation("duplicate-vertex", v))
         else:
-            adjacency[v] = set()
-            if not isinstance(v, str):  # kept above, so its edges report no dangling end
+            adjacency[k] = set()
+            if not isinstance(v, str):
                 violations.append(GraphViolation("non-string-vertex", v))
     if not adjacency:
         violations.append(GraphViolation("empty-graph", ()))
@@ -98,32 +121,62 @@ def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
         if u == v:
             violations.append(GraphViolation("self-loop", (u, v)))
             continue
-        dangling = (u not in adjacency) + (v not in adjacency)  # one report per unknown end
+        ku, kv = u, v
+        try:
+            dangling = (ku not in adjacency) + (kv not in adjacency)  # one report per unknown end
+        except TypeError:  # an unhashable end
+            ku, kv = _key(u, unhashable), _key(v, unhashable)
+            dangling = (ku not in adjacency) + (kv not in adjacency)
         if dangling:
             violations += [GraphViolation("dangling-endpoint", (u, v))] * dangling
-        elif v in adjacency[u]:
+        elif kv in adjacency[ku]:
             # a non-string end has no canonical order and is reported as a vertex
             if isinstance(u, str) and isinstance(v, str):
                 violations.append(GraphViolation("duplicate-edge", _canonical_edge(u, v)))
         else:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+            adjacency[ku].add(kv)
+            adjacency[kv].add(ku)
 
     isolated = sorted([v for v, ns in adjacency.items() if not ns and isinstance(v, str)])
     violations += [GraphViolation("isolated-vertex", v) for v in isolated]
     return violations, adjacency
 
 
-class Graph:
+class _Facts:
+    """Facts derived from an immutable value, computed on first use by ``_fact``."""
+
+    __slots__ = ("_cache",)
+
+    def _fact(self, key, compute, *args):
+        """``compute(self, *args)``, run on first use and cached under ``key``.
+
+        A key keeps the result for one argument tuple, the last one asked
+        for: asking with other arguments recomputes and replaces it. A
+        ``compute`` that raises caches nothing.
+        """
+        entry = self._cache.get(key)
+        if entry is None or entry[0] != args:
+            entry = self._cache[key] = (args, compute(self, *args))
+        return entry[1]
+
+
+class Graph(_Facts):
     """An immutable simple graph with canonical (lexicographic) ordering.
 
     Construction validates the data and raises GraphValidationError whose
     ``violations`` lists every problem found in one scan: no vertices at
     all, duplicate vertex ids, ids that are not strings (``non-string-vertex``,
-    once per such vertex; it is never also isolated, nor its edges
-    duplicates), self-loops, duplicate edges (in either orientation),
-    endpoints naming no vertex, and vertices left without any valid incident
-    edge. Edges are stored as ordered pairs (u, v) with u < v.
+    once per such vertex, hashable or not; it is never also isolated, nor
+    its edges duplicates), self-loops, duplicate edges (in either
+    orientation), endpoints naming no vertex, and vertices left without any
+    valid incident edge. Edges are stored as ordered pairs (u, v) with u < v.
+
+    Facts that depend on the graph alone are computed on first use and kept
+    with it: the id, the breadth-first order of each component, and each
+    transform's output structure (``iasi.transforms``), so that the labelings
+    of one graph share them. A transform keeps only the structure for its
+    last argument, so a graph holds at most five output structures (each
+    with its own facts), however many edges are contracted in turn.
     """
 
     __slots__ = ("vertices", "edges", "_adjacency")
@@ -137,6 +190,7 @@ class Graph:
         self.edges = tuple(
             sorted([(u, v) for u in self.vertices for v in self._adjacency[u] if u < v])
         )
+        self._cache = {}
 
     def neighbors(self, v) -> tuple:
         return self._adjacency[v]
@@ -148,11 +202,15 @@ class Graph:
         return v in self._adjacency.get(u, ())
 
     def is_connected(self) -> bool:
-        return len(next(_bfs_components(self.vertices, self.neighbors))) == len(self.vertices)
+        return len(self._components()) == 1
+
+    def _components(self) -> tuple:
+        """Each component's breadth-first order (``_bfs_components``), as tuples."""
+        return self._fact("components", _breadth_first)
 
     def graph_id(self) -> str:
         """Canonical edge-list string; no vertex escapes it (none isolated)."""
-        return ",".join(f"{u}-{v}" for u, v in self.edges)
+        return self._fact("id", _graph_id)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -164,6 +222,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(|V|={len(self.vertices)}, edges={self.graph_id()!r})"
+
+
+def _breadth_first(graph: Graph) -> tuple:
+    return tuple(map(tuple, _bfs_components(graph.vertices, graph.neighbors)))
+
+
+def _graph_id(graph: Graph) -> str:
+    return ",".join(f"{u}-{v}" for u, v in graph.edges)
 
 
 def path_graph(n: int) -> Graph:
@@ -187,19 +253,20 @@ def star_graph(n: int) -> Graph:
     return Graph(v, [(v[0], leaf) for leaf in v[1:]])
 
 
-class LabeledGraph:
+class LabeledGraph(_Facts):
     """A graph together with a total set-valued vertex labeling.
 
     Edge labels are always the induced sumsets of the endpoint labels and
     are computed here once; there is no way to store anything else. The
     labeling need not be injective -- deciding that is the verifier's job.
+    Labels given for names that are not vertices of the graph are ignored.
     ``vertex_labels`` and ``edge_labels`` are filled in the graph's canonical
     vertex and edge order, so iterating them needs no re-sort. Facts derived
     from the labels (the injectivity report, the classification report) are
     computed on first use by ``_fact`` and kept in ``_cache``.
     """
 
-    __slots__ = ("graph", "vertex_labels", "edge_labels", "_cache")
+    __slots__ = ("graph", "vertex_labels", "edge_labels")
 
     def __init__(self, graph: Graph, vertex_labels):
         labels = {}
@@ -216,12 +283,6 @@ class LabeledGraph:
             (u, v): sumset(labels[u], labels[v]) for u, v in graph.edges
         }
         self._cache = {}
-
-    def _fact(self, key, compute):
-        """``compute(self)``, run on first use and cached under ``key``."""
-        if key not in self._cache:
-            self._cache[key] = compute(self)
-        return self._cache[key]
 
     def __eq__(self, other):
         if not isinstance(other, LabeledGraph):

@@ -59,6 +59,14 @@ def _check_fields(obj, allowed, required, where):
             raise SchemaError(f"missing field {key!r}", context=where)
 
 
+def _is_utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _parse_graph(doc) -> Graph:
     _check_fields(doc, {"graph", "labels", "metadata"}, {"graph"}, "document")
     gobj = doc["graph"]
@@ -69,6 +77,12 @@ def _parse_graph(doc) -> Graph:
     dashed = [v for v in vertices if v.startswith("-")]
     if dashed:
         raise SchemaError(f"vertex name {dashed[0]!r} starts with '-'", context="graph.vertices")
+    unencodable = [v for v in vertices if not _is_utf8(v)]
+    if unencodable:
+        raise SchemaError(
+            f"vertex name {unencodable[0]!r} is not UTF-8 text (a lone surrogate)",
+            context="graph.vertices",
+        )
     edges = gobj["edges"]
     if not isinstance(edges, list):
         raise SchemaError("edges must be a list", context="graph.edges")
@@ -179,9 +193,16 @@ def document_text(lg: LabeledGraph, metadata=None) -> str:
     return text + "\n}\n"
 
 
+def _write(path, text: str):
+    """Write ``text`` as UTF-8, encoded before the file is opened: a text that
+    cannot be written leaves no file behind, not an empty one."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def save_document(lg: LabeledGraph, path, metadata=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document_text(lg, metadata))
+    _write(path, document_text(lg, metadata))
 
 
 def _dot_id(name: str) -> str:
@@ -207,5 +228,4 @@ def dot_text(lg: LabeledGraph) -> str:
 
 def export_dot(lg: LabeledGraph, path):
     """Write DOT; output is canonical, so re-export is byte-identical."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dot_text(lg))
+    _write(path, dot_text(lg))

@@ -10,6 +10,12 @@ instead of returning a silently broken labeling.
 New points need names: a contraction of (u, v) is called "(u*v)", a
 subdivision point "(u~v)", a line/total point for edge (u, v) "(u,v)";
 apostrophes are appended on the rare clash with an existing name.
+
+The output structure and its new names depend on the input graph alone, so
+each transform splits in two: a builder ``(graph, *args) -> (output graph,
+{edge: new point})``, run once per input graph and argument through
+``Graph._fact``, and the label transfer, run on every call. The builder's
+output is a checked ``Graph``, and every transferred labeling is verified.
 """
 
 from __future__ import annotations
@@ -44,27 +50,52 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def _edge_points(lg: LabeledGraph, taken) -> tuple[dict, list]:
+def _edge_points(graph: Graph, taken) -> tuple[dict, list]:
     """Name a new point "(u,v)" per edge, avoiding ``taken``; join the points
     of each two edges at a shared endpoint (two distinct edges share at most one)."""
     names = {}
     taken = set(taken)
-    for u, v in lg.graph.edges:
+    for u, v in graph.edges:
         names[(u, v)] = name = _fresh_name(f"({u},{v})", taken)
         taken.add(name)
     adjacent = [
         _canonical_edge(names[_canonical_edge(x, a)], names[_canonical_edge(x, b)])
-        for x in lg.graph.vertices
-        for a, b in combinations(lg.graph.neighbors(x), 2)
+        for x in graph.vertices
+        for a, b in combinations(graph.neighbors(x), 2)
     ]
     return names, adjacent
 
 
-def _require_edge(lg: LabeledGraph, edge) -> tuple:
+def _require_edge(graph: Graph, edge) -> tuple:
     e = _canonical_edge(*edge)
-    if e not in lg.edge_labels:
+    if not graph.has_edge(*e):
         raise ValueError(f"no such edge: {e}")
     return e
+
+
+def _transferred(lg: LabeledGraph, kind: str, build, *args) -> LabeledGraph:
+    """``build``'s output structure, read from the input graph's facts under
+    ``kind``, labeled and verified: every vertex keeps its label, and the new
+    point for edge e takes e's label."""
+    graph, names = lg.graph._fact(kind, build, *args)
+    labels = dict(lg.vertex_labels)
+    for e, name in names.items():
+        labels[name] = lg.edge_labels[e]
+    return _verified(LabeledGraph(graph, labels))
+
+
+def _contracted(graph: Graph, edge) -> tuple:
+    u, v = edge
+    merged = _fresh_name(f"({u}*{v})", set(graph.vertices) - {u, v})
+    vertices = [x for x in graph.vertices if x not in (u, v)] + [merged]
+    new_edges = set()
+    for x, y in graph.edges:
+        if (x, y) == (u, v):
+            continue
+        x2 = merged if x in (u, v) else x
+        y2 = merged if y in (u, v) else y
+        new_edges.add(_canonical_edge(x2, y2))
+    return Graph(vertices, sorted(new_edges)), {edge: merged}
 
 
 def contract_edge(lg: LabeledGraph, edge) -> LabeledGraph:
@@ -75,21 +106,7 @@ def contract_edge(lg: LabeledGraph, edge) -> LabeledGraph:
     the result violates the no-isolated-vertices invariant and is rejected.
     """
     _require_arithmetic(lg, "contract_edge")
-    u, v = _require_edge(lg, edge)
-    merged = _fresh_name(f"({u}*{v})", set(lg.graph.vertices) - {u, v})
-
-    vertices = [x for x in lg.graph.vertices if x not in (u, v)] + [merged]
-    new_edges = set()
-    for x, y in lg.graph.edges:
-        if (x, y) == (u, v):
-            continue
-        x2 = merged if x in (u, v) else x
-        y2 = merged if y in (u, v) else y
-        new_edges.add(_canonical_edge(x2, y2))
-
-    labels = {x: lg.vertex_labels[x] for x in lg.graph.vertices if x not in (u, v)}
-    labels[merged] = lg.edge_labels[(u, v)]
-    return _verified(LabeledGraph(Graph(vertices, sorted(new_edges)), labels))
+    return _transferred(lg, "contract", _contracted, _require_edge(lg.graph, edge))
 
 
 def _reduction_problem(graph: Graph, vertex) -> str | None:
@@ -104,6 +121,16 @@ def _reduction_problem(graph: Graph, vertex) -> str | None:
     return None
 
 
+def _reduced(graph: Graph, vertex) -> tuple:
+    problem = _reduction_problem(graph, vertex)
+    if problem:
+        raise ValueError(problem)
+    u, w = graph.neighbors(vertex)
+    vertices = [x for x in graph.vertices if x != vertex]
+    edges = [e for e in graph.edges if vertex not in e] + [_canonical_edge(u, w)]
+    return Graph(vertices, edges), {}
+
+
 def reduce_topologically(lg: LabeledGraph, vertex: str) -> LabeledGraph:
     """Remove a degree-2 vertex with non-adjacent neighbors; bridge them.
 
@@ -111,28 +138,28 @@ def reduce_topologically(lg: LabeledGraph, vertex: str) -> LabeledGraph:
     the sumset of the reconnected endpoints.
     """
     _require_arithmetic(lg, "reduce_topologically")
-    problem = _reduction_problem(lg.graph, vertex)
-    if problem:
-        raise ValueError(problem)
-    u, w = lg.graph.neighbors(vertex)
-    vertices = [x for x in lg.graph.vertices if x != vertex]
-    edges = [e for e in lg.graph.edges if vertex not in e] + [_canonical_edge(u, w)]
-    labels = {x: lg.vertex_labels[x] for x in vertices}
-    return _verified(LabeledGraph(Graph(vertices, edges), labels))
+    return _transferred(lg, "reduce", _reduced, vertex)
+
+
+def _subdivided(graph: Graph, edge) -> tuple:
+    u, v = edge
+    mid = _fresh_name(f"({u}~{v})", graph.vertices)
+    edges = [e for e in graph.edges if e != edge]
+    edges += [_canonical_edge(u, mid), _canonical_edge(mid, v)]
+    return Graph(list(graph.vertices) + [mid], edges), {edge: mid}
 
 
 def subdivide(lg: LabeledGraph, edge) -> LabeledGraph:
     """Replace an edge by a two-edge path; the new midpoint gets the edge label."""
     _require_arithmetic(lg, "subdivide")
-    u, v = _require_edge(lg, edge)
-    mid = _fresh_name(f"({u}~{v})", lg.graph.vertices)
+    return _transferred(lg, "subdivide", _subdivided, _require_edge(lg.graph, edge))
 
-    vertices = list(lg.graph.vertices) + [mid]
-    edges = [e for e in lg.graph.edges if e != (u, v)]
-    edges += [_canonical_edge(u, mid), _canonical_edge(mid, v)]
-    labels = dict(lg.vertex_labels)
-    labels[mid] = lg.edge_labels[(u, v)]
-    return _verified(LabeledGraph(Graph(vertices, edges), labels))
+
+def _line(graph: Graph) -> tuple:
+    if len(graph.edges) < 2:
+        raise ValueError("line graph needs at least two edges")
+    names, edges = _edge_points(graph, ())
+    return Graph(list(names.values()), edges), names
 
 
 def to_line_graph(lg: LabeledGraph) -> LabeledGraph:
@@ -143,12 +170,16 @@ def to_line_graph(lg: LabeledGraph) -> LabeledGraph:
     endpoint.
     """
     _require_arithmetic(lg, "to_line_graph")
-    if len(lg.graph.edges) < 2:
-        raise ValueError("line graph needs at least two edges")
+    return _transferred(lg, "line", _line)
 
-    names, edges = _edge_points(lg, ())
-    labels = {names[e]: lg.edge_labels[e] for e in lg.graph.edges}
-    return _verified(LabeledGraph(Graph(list(names.values()), edges), labels))
+
+def _total(graph: Graph) -> tuple:
+    names, adjacent = _edge_points(graph, graph.vertices)
+    edges = list(graph.edges) + adjacent
+    for u, v in graph.edges:
+        edges.append(_canonical_edge(u, names[(u, v)]))
+        edges.append(_canonical_edge(v, names[(u, v)]))
+    return Graph(list(graph.vertices) + list(names.values()), edges), names
 
 
 def to_total_graph(lg: LabeledGraph) -> LabeledGraph:
@@ -159,14 +190,4 @@ def to_total_graph(lg: LabeledGraph) -> LabeledGraph:
     becomes a collision here even though the original labeling was fine.
     """
     _require_arithmetic(lg, "to_total_graph")
-    names, adjacent = _edge_points(lg, lg.graph.vertices)
-    edges = list(lg.graph.edges) + adjacent
-    for u, v in lg.graph.edges:
-        edges.append(_canonical_edge(u, names[(u, v)]))
-        edges.append(_canonical_edge(v, names[(u, v)]))
-
-    labels = dict(lg.vertex_labels)
-    for e, name in names.items():
-        labels[name] = lg.edge_labels[e]
-    vertices = list(lg.graph.vertices) + list(names.values())
-    return _verified(LabeledGraph(Graph(vertices, edges), labels))
+    return _transferred(lg, "total", _total)

@@ -157,6 +157,23 @@ def test_check_one_graph_covers_expected_checks():
     }
 
 
+def test_policies_share_each_transform_structure(monkeypatch):
+    graph = cycle_graph(4)
+    built = []
+    real = Graph.__init__
+
+    def counting(self, vertices, edges):
+        built.append(vertices)
+        real(self, vertices, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    records = [r for policy in POLICIES for r in check_one_graph(graph, policy, seed=0)]
+    assert len(records) == 3 * 10
+    # contract, subdivide, reduce, line and total: one structure each for all
+    # three labelings of the graph, not one per labeling (15)
+    assert len(built) == 5
+
+
 def test_reduce_and_line_checks_skipped_when_undefined():
     names = {r.check for r in check_one_graph(path_graph(2), "fixed", seed=0)}
     assert "transform-reduce/fixed" not in names  # no degree-2 vertex

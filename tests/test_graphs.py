@@ -52,15 +52,25 @@ def test_dangling_endpoint_reported():
 
 
 def test_non_string_vertex_reported():
-    # once per vertex: its edges name a known vertex, and it is not isolated
-    vs = graph_violations([1, 2, "a", "b", (3,)], [(1, 2), ("a", "b"), (1, "a"), ("a", 1)])
+    # once per vertex, hashable or not: its edges name a known vertex, and it is not isolated
+    vs = graph_violations(
+        [1, 2, "a", "b", (3,), ["a"]],
+        [(1, 2), ("a", "b"), (1, "a"), ("a", 1), (["a"], "b"), ("b", ["a"]), (["x"], "b")],
+    )
     assert vs == [
         GraphViolation("non-string-vertex", 1),
         GraphViolation("non-string-vertex", 2),
         GraphViolation("non-string-vertex", (3,)),
+        GraphViolation("non-string-vertex", ["a"]),
+        GraphViolation("dangling-endpoint", (["x"], "b")),
     ]
     with pytest.raises(GraphValidationError, match="non-string-vertex at 1"):
         Graph([1, 2], [(1, 2)])
+    assert graph_violations([["a"], "b"], [("b", "b")]) == [
+        GraphViolation("non-string-vertex", ["a"]),
+        GraphViolation("self-loop", ("b", "b")),
+        GraphViolation("isolated-vertex", "b"),
+    ]
 
 
 def test_duplicate_vertex_reported():
@@ -131,36 +141,35 @@ def test_graph_id_is_canonical():
 
 
 # Reference: validate in one pass, then canonicalize and build in a second.
+# Ids are found by equality in lists, since some are unhashable.
 def reference_violations(vertices, edges):
     violations = []
     vertices = list(vertices)
     if not vertices:
         violations.append(GraphViolation("empty-graph", ()))
-    vset = set(vertices)
-    seen = set()
+    seen = []
     for v in vertices:
         if v in seen:
             violations.append(GraphViolation("duplicate-vertex", v))
         elif not isinstance(v, str):
             violations.append(GraphViolation("non-string-vertex", v))
-        seen.add(v)
-    seen_edges, touched = set(), set()
+        seen.append(v)
+    seen_edges, touched = [], []
     for u, v in edges:
         if u == v:
             violations.append(GraphViolation("self-loop", (u, v)))
             continue
-        dangling = [end for end in (u, v) if end not in vset]
+        dangling = [end for end in (u, v) if end not in vertices]
         violations += [GraphViolation("dangling-endpoint", (u, v)) for _ in dangling]
         if dangling:
             continue
-        e = frozenset((u, v))
-        if e in seen_edges:
+        if (u, v) in seen_edges or (v, u) in seen_edges:
             if isinstance(u, str) and isinstance(v, str):
-                violations.append(GraphViolation("duplicate-edge", tuple(sorted(e))))
+                violations.append(GraphViolation("duplicate-edge", tuple(sorted((u, v)))))
             continue
-        seen_edges.add(e)
-        touched.update(e)
-    for v in sorted(v for v in vset if isinstance(v, str)):
+        seen_edges.append((u, v))
+        touched += [u, v]
+    for v in sorted({v for v in vertices if isinstance(v, str)}):
         if v not in touched:
             violations.append(GraphViolation("isolated-vertex", v))
     return violations
@@ -177,8 +186,8 @@ def reference_build(vertices, edges):
 
 
 names = st.sampled_from(["a", "b", "c", "d", "e"])
-# raw data may also name vertices by non-string ids
-raw_names = st.one_of(names, st.sampled_from([1, 2, None]))
+# raw data may also name vertices by non-string ids, hashable or not
+raw_names = st.one_of(names, st.sampled_from([1, 2, None, ["a"], ["b"]]))
 
 
 @st.composite

@@ -164,6 +164,8 @@ def test_load_graph_ignores_labels(tmp_path):
             "graph.edges[1]",
         ),
         ({"graph": {"vertices": ["a", "-b"], "edges": [["a", "-b"]]}}, "graph.vertices"),
+        # a lone surrogate is a legal JSON escape with no UTF-8 form
+        ({"graph": {"vertices": ["a", "\ud800"], "edges": [["a", "\ud800"]]}}, "graph.vertices"),
     ],
 )
 def test_schema_errors_name_the_field(tmp_path, payload, context):
@@ -734,6 +736,42 @@ def test_cli_rejects_vertex_name_starting_with_dash(tmp_path, capsys):
     code, payload, err = run_cli(capsys, "construct", "--input", src, "--output", str(out))
     assert code == 2 and payload is None
     assert err == "error: graph.vertices: vertex name '-b' starts with '-'\n"
+    assert not out.exists()
+
+
+def test_cli_export_dot_rejects_lone_surrogate_name(tmp_path, capsys):
+    src = write_doc(
+        tmp_path,
+        {
+            "graph": {"vertices": ["a", "\ud800"], "edges": [["a", "\ud800"]]},
+            "labels": {"a": [0, 1, 2], "\ud800": [10, 11, 12]},
+        },
+    )
+    out = tmp_path / "g.dot"
+    code, payload, err = run_cli(capsys, "export-dot", "--input", src, "--output", str(out))
+    assert code == 2 and payload is None
+    assert err == (
+        "error: graph.vertices: vertex name '\\ud800' is not UTF-8 text (a lone surrogate)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        # a built graph may still carry a lone surrogate, which DOT writes raw
+        lambda path: export_dot(
+            LabeledGraph(Graph(["a", "\ud800"], [("a", "\ud800")]), {"a": {0}, "\ud800": {1}}),
+            path,
+        ),
+        lambda path: save_document(sample_lg(), path, metadata={"seed": object()}),
+    ],
+    ids=["export_dot", "save_document"],
+)
+def test_failed_write_leaves_no_file(tmp_path, write):
+    out = tmp_path / "out"
+    with pytest.raises((UnicodeEncodeError, TypeError)):
+        write(out)
     assert not out.exists()
 
 

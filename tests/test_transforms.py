@@ -1,6 +1,12 @@
 """Label transfer under contraction, reduction, subdivision, line and total graphs."""
 
+import copy
+import pickle
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iasi import (
     ConstructionParams,
@@ -240,3 +246,92 @@ def test_all_transforms_preserve_uniform_difference_labelings():
     ):
         report = assert_arithmetic(out)
         assert report.vertex_arithmetic and report.edge_arithmetic
+
+
+# ------------------------------------- output structures, built once per graph
+
+
+def outcome(transform, lg, *args):
+    """A transform's output labeling as comparable data, or the error it raised."""
+    try:
+        out = transform(lg, *args)
+    except LabelCollisionError as exc:
+        return "collision", exc.witness
+    except GraphValidationError as exc:
+        return "rejected", exc.violations
+    except ValueError as exc:
+        return "invalid", str(exc)
+    return "ok", out.graph, list(out.vertex_labels.items())
+
+
+def every_transform(graph):
+    """Each transform with every argument it takes on ``graph``, valid or not."""
+    calls = [(contract_edge, e) for e in graph.edges] + [(subdivide, e) for e in graph.edges]
+    calls += [(reduce_topologically, v) for v in graph.vertices]
+    return calls + [(to_line_graph,), (to_total_graph,)]
+
+
+@st.composite
+def small_graphs(draw):
+    names = "abcdef"[: draw(st.integers(2, 6))]
+    edges = draw(st.lists(st.sampled_from(list(combinations(names, 2))), min_size=1, unique=True))
+    return Graph(sorted({x for e in edges for x in e}), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(), order=st.randoms(use_true_random=False), seed=st.integers(0, 9))
+def test_warm_structures_match_a_fresh_graph(graph, order, seed):
+    # the three policies label one Graph, so all but the first call of each
+    # transform and argument read the structure cached on it; a shuffled call
+    # order makes each kind replace its cached argument
+    labelings = [
+        construct_arbitrary(graph, ConstructionParams(multiplier_policy=p, seed=seed)).labeled_graph
+        for p in ("fixed", "random", "maximal")
+    ]
+    calls = every_transform(graph)
+    order.shuffle(calls)
+    for transform, *args in calls:
+        for lg in labelings:
+            fresh = LabeledGraph(Graph(graph.vertices, graph.edges), lg.vertex_labels)
+            assert outcome(transform, lg, *args) == outcome(transform, fresh, *args)
+
+
+def test_contracting_every_edge_keeps_one_structure():
+    lg = uniform(cycle_graph(8))
+    graph = lg.graph
+    for edge in graph.edges:
+        contract_edge(lg, edge)
+    structures = [
+        fact for _, fact in graph._cache.values()
+        if isinstance(fact, tuple) and isinstance(fact[0], Graph)
+    ]
+    assert len(structures) == 1
+    assert graph._cache["contract"][0] == (graph.edges[-1],)
+    # a structure that fails its check is not kept
+    lone = LabeledGraph(Graph(["u", "v"], [("u", "v")]), {"u": {0, 1, 2}, "v": {10, 12, 14}})
+    for _ in range(2):
+        with pytest.raises(GraphValidationError):
+            contract_edge(lone, ("u", "v"))
+    assert "contract" not in lone.graph._cache
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy]
+    + [
+        lambda g, p=protocol: pickle.loads(pickle.dumps(g, p))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ],
+    ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(2, pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_warm_graph_copies_equal(clone):
+    lg = uniform(cycle_graph(5))
+    graph = lg.graph
+    calls = every_transform(graph)
+    before = [outcome(transform, lg, *args) for transform, *args in calls]
+    twin = clone(graph)
+    assert twin == graph and hash(twin) == hash(graph)
+    assert twin.graph_id() == graph.graph_id() and twin.is_connected()
+    assert [twin.neighbors(v) for v in twin.vertices] == list(map(graph.neighbors, graph.vertices))
+    relabeled = LabeledGraph(twin, lg.vertex_labels)
+    assert [outcome(transform, relabeled, *args) for transform, *args in calls] == before
