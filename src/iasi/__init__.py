@@ -11,9 +11,7 @@ JSON/DOT interchange layer, and an exhaustive small-graph checking harness
 from .sets import (
     U64_MAX,
     APSet,
-    CompatibilityTable,
     IntegerSet,
-    compatibility_table,
     detect_ap,
     predicted_edge_cardinality,
     sumset,
@@ -37,7 +35,6 @@ from .classify import (
     MultiplierViolation,
     check_gcd_invariant,
     check_multiplier_condition,
-    check_singleton_endpoint_rule,
     classify_arithmetic,
     classify_edges,
     verify_iasi,

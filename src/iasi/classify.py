@@ -34,7 +34,6 @@ __all__ = [
     "check_multiplier_condition",
     "GcdReport",
     "check_gcd_invariant",
-    "check_singleton_endpoint_rule",
 ]
 
 # Vertex labels shorter than this cannot count as arithmetic; progressions
@@ -292,17 +291,3 @@ def check_gcd_invariant(lg: LabeledGraph) -> GcdReport:
     eg = math.gcd(*edge_diffs)
     mn = min(vertex_diffs)
     return GcdReport(ok=vg == eg == mn, vertex_gcd=vg, edge_gcd=eg, min_vertex_difference=mn)
-
-
-def check_singleton_endpoint_rule(lg: LabeledGraph) -> bool:
-    """True iff every weak edge has a singleton endpoint.
-
-    |A+B| >= |A| + |B| - 1, so an edge label can only collapse to the larger
-    endpoint cardinality when the smaller one is 1; this checks that no
-    labeling claims otherwise.
-    """
-    for (u, v), cls in classify_edges(lg).items():
-        if cls.weak:
-            if min(len(lg.vertex_labels[u]), len(lg.vertex_labels[v])) != 1:
-                return False
-    return True

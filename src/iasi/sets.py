@@ -1,10 +1,9 @@
 """Finite sets of non-negative integers, sumsets, and AP detection.
 
 Everything downstream (labelings, classification, construction) reduces to
-three facts about finite integer sets:
+two facts about finite integer sets:
 
-* the sumset A+B = {a+b : a in A, b in B},
-* its compatibility classes (pairs grouped by equal sum), and
+* the sumset A+B = {a+b : a in A, b in B}, and
 * whether a set's elements form an arithmetic progression.
 
 Elements are kept inside the 64-bit unsigned range so labels survive any
@@ -13,9 +12,6 @@ LabelOverflowError instead of silently widening.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import LabelOverflowError
 
@@ -27,8 +23,6 @@ __all__ = [
     "APSet",
     "sumset",
     "detect_ap",
-    "CompatibilityTable",
-    "compatibility_table",
     "predicted_edge_cardinality",
 ]
 
@@ -133,22 +127,6 @@ def _difference(label: IntegerSet) -> int | None:
     return label.difference if type(label) is APSet else None
 
 
-def _operands(a, b, what: str) -> tuple[IntegerSet, IntegerSet]:
-    """Check two nonempty operands whose largest sum stays in the 64-bit range.
-
-    Checked sets skip the constructor call: ``sumset`` runs this once per edge.
-    """
-    a = a if isinstance(a, IntegerSet) else IntegerSet(a)
-    b = b if isinstance(b, IntegerSet) else IntegerSet(b)
-    if not a or not b:
-        raise ValueError(f"{what} requires nonempty operands")
-    if a[-1] + b[-1] > U64_MAX:
-        raise LabelOverflowError(
-            f"maximum sum {a[-1]} + {b[-1]} exceeds the 64-bit range"
-        )
-    return a, b
-
-
 def sumset(a, b) -> IntegerSet:
     """Pointwise sums of two nonempty integer sets.
 
@@ -158,7 +136,15 @@ def sumset(a, b) -> IntegerSet:
     |A| + k(|B|-1) terms, and it is built in that closed form; a singleton
     operand shifts the other one. Every other sumset is summed exactly.
     """
-    a, b = _operands(a, b, "sumset")
+    # checked sets skip the constructor call: this runs once per edge
+    a = a if isinstance(a, IntegerSet) else IntegerSet(a)
+    b = b if isinstance(b, IntegerSet) else IntegerSet(b)
+    if not a or not b:
+        raise ValueError("sumset requires nonempty operands")
+    if a[-1] + b[-1] > U64_MAX:
+        raise LabelOverflowError(
+            f"maximum sum {a[-1]} + {b[-1]} exceeds the 64-bit range"
+        )
     if len(a) == 1 or len(b) == 1:
         point, other = (a, b) if len(a) == 1 else (b, a)
         return tuple.__new__(type(other), [point[0] + x for x in other])
@@ -184,38 +170,6 @@ def detect_ap(s) -> APSet | None:
     if not s:
         raise ValueError("cannot detect a progression in the empty set")
     return s if type(s) is APSet else None
-
-
-@dataclass(frozen=True)
-class CompatibilityTable:
-    """Pairs of A x B grouped by their sum.
-
-    ``classes`` maps each attainable sum to the ordered pairs realizing it,
-    keyed in increasing sum order. The number of classes equals |A+B|; no
-    class can exceed min(|A|, |B|) pairs.
-    """
-
-    classes: dict
-
-    @property
-    def index(self) -> int:
-        """Number of compatibility classes (= sumset cardinality)."""
-        return len(self.classes)
-
-    @property
-    def maximal_size(self) -> int:
-        return max(len(pairs) for pairs in self.classes.values())
-
-
-def compatibility_table(a, b) -> CompatibilityTable:
-    """Group A x B by equal sums, smallest sum first."""
-    a, b = _operands(a, b, "compatibility table")
-    groups = defaultdict(list)
-    for x in a:
-        for y in b:
-            groups[x + y].append((x, y))
-    classes = {s: tuple(sorted(groups[s])) for s in sorted(groups)}
-    return CompatibilityTable(classes=classes)
 
 
 def predicted_edge_cardinality(m: int, n: int, k: int) -> int:

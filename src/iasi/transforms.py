@@ -67,6 +67,13 @@ def _edge_points(graph: Graph, taken) -> tuple[dict, list]:
 
 
 def _require_edge(graph: Graph, edge) -> tuple:
+    """``edge`` as a canonical edge of ``graph``; anything else is ValueError."""
+    if not (
+        isinstance(edge, (tuple, list))
+        and len(edge) == 2
+        and all(isinstance(x, str) for x in edge)
+    ):
+        raise ValueError(f"no such edge: {edge!r}")
     e = _canonical_edge(*edge)
     if not graph.has_edge(*e):
         raise ValueError(f"no such edge: {e}")

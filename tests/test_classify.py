@@ -17,7 +17,6 @@ from iasi import (
     NotArithmeticError,
     check_gcd_invariant,
     check_multiplier_condition,
-    check_singleton_endpoint_rule,
     classify_arithmetic,
     classify_edges,
     construct_arbitrary,
@@ -87,14 +86,19 @@ def test_failure_messages_pluralize_and_sort_labels():
 
 
 def test_weak_and_strong_can_coincide():
-    report = classify_edges(p2({1}, {2, 4}))
-    cls = report[("u", "v")]
-    assert cls.weak and cls.strong and cls.indexing_number == 2
+    # weak only against a singleton endpoint
+    for lg in (p2({1}, {2, 4}), p2({3}, {1, 2})):
+        cls = classify_edges(lg)[("u", "v")]
+        assert cls.weak and cls.strong and cls.indexing_number == 2
+        assert min(len(label) for label in lg.vertex_labels.values()) == 1
 
 
 def test_strong_not_weak_example():
     cls = classify_edges(p2({0, 1, 2}, {0, 3, 6}))[("u", "v")]
     assert cls.strong and not cls.weak and cls.indexing_number == 9
+    # two labels of size 2: no weak edge at all
+    cls = classify_edges(p2({0, 1}, {0, 2}))[("u", "v")]
+    assert cls.strong and not cls.weak and cls.indexing_number == 4
 
 
 def test_neither_weak_nor_strong():
@@ -120,11 +124,6 @@ def test_strong_edge_law(data):
     assert cls.strong == (k == m)
     assert not cls.weak
     assert cls.indexing_number == len({a + b for a in low for b in high})
-
-
-def test_singleton_endpoint_rule():
-    assert check_singleton_endpoint_rule(p2({3}, {1, 2}))
-    assert check_singleton_endpoint_rule(p2({0, 1}, {0, 2}))  # no weak edge at all
 
 
 def test_singleton_rule_exhaustive_small():

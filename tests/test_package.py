@@ -3,6 +3,8 @@
 import argparse
 import ast
 import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -82,6 +84,38 @@ def test_readme_quick_start_runs():
     assert [want for _, want in shown] == ["IntegerSet({0, 1, 2, 3, 4, 5, 6})", "3"]
     for expr, want in shown:
         assert repr(eval(expr, namespace)) == want, expr
+
+
+# backticked README names that are not library names: a builtin exception,
+# a key of `iasi classify`'s output and a parameter of run_catalog_checks
+README_NON_LIBRARY_NAMES = {"ValueError", "per_edge", "records_path"}
+
+
+def test_readme_names_only_what_exists():
+    """Every snake_case or CamelCase name in README's inline code is defined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    names = {
+        token
+        for span in spans
+        for token in re.findall(r"[A-Za-z_]\w*", span)
+        if "_" in token
+        or (re.search("[a-z]", token) and sum(c.isupper() for c in token) >= 2)
+    }
+    modules = [iasi] + [
+        importlib.import_module(f"iasi.{info.name}")
+        for info in pkgutil.iter_modules(iasi.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    defined = set()
+    for module in modules:
+        for name, value in vars(module).items():
+            defined.add(name)
+            if inspect.isclass(value) and value.__module__.startswith("iasi"):
+                defined |= set(dir(value)) | set(getattr(value, "__dataclass_fields__", ()))
+    assert len(names) > 30
+    assert sorted(names - defined - README_NON_LIBRARY_NAMES) == []
+    assert README_NON_LIBRARY_NAMES <= names
 
 
 def _readme_cli_section() -> str:

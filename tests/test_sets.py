@@ -18,7 +18,6 @@ from iasi import (
     IntegerSet,
     LabelOverflowError,
     U64_MAX,
-    compatibility_table,
     detect_ap,
     predicted_edge_cardinality,
     sumset,
@@ -129,33 +128,43 @@ def test_sumset_cardinality_bounds(a, b):
 # ------------------------------------------------------------- compatibility
 
 
+def compatibility_classes(a, b):
+    """A x B grouped by sum: each sum, in the order first reached, maps to its pairs."""
+    classes = {}
+    for x in sorted(a):
+        for y in sorted(b):
+            classes.setdefault(x + y, []).append((x, y))
+    return classes
+
+
 def test_compatibility_frozen_example():
-    t = compatibility_table({1, 2}, {3, 4})
-    assert t.index == 3
-    assert t.classes == {4: ((1, 3),), 5: ((1, 4), (2, 3)), 6: ((2, 4),)}
-    assert t.maximal_size == 2
+    classes = compatibility_classes({1, 2}, {3, 4})
+    assert classes == {4: [(1, 3)], 5: [(1, 4), (2, 3)], 6: [(2, 4)]}
+    assert len(sumset({1, 2}, {3, 4})) == len(classes) == 3
 
 
 def test_compatibility_equal_sets():
-    t = compatibility_table({0, 1, 2}, {0, 1, 2})
-    assert t.index == 5
-    assert t.classes[2] == ((0, 2), (1, 1), (2, 0))
-    assert t.maximal_size == 3
+    classes = compatibility_classes({0, 1, 2}, {0, 1, 2})
+    assert len(sumset({0, 1, 2}, {0, 1, 2})) == len(classes) == 5
+    assert classes[2] == [(0, 2), (1, 1), (2, 0)]
+    assert max(len(pairs) for pairs in classes.values()) == 3
 
 
 @given(small_sets, small_sets)
 def test_compatibility_index_equals_sumset_cardinality(a, b):
-    t = compatibility_table(a, b)
-    assert t.index == len(sumset(a, b))
+    classes = compatibility_classes(a, b)
+    assert len(sumset(a, b)) == len(classes) == len(brute_sumset(a, b))
+    # the sums the classes are keyed by are the sumset, in its order
+    assert list(sumset(a, b)) == sorted(classes)
 
 
 @given(small_sets, small_sets)
 def test_compatibility_class_sizes_bounded(a, b):
-    t = compatibility_table(a, b)
-    assert t.maximal_size <= min(len(a), len(b))
+    classes = compatibility_classes(a, b)
+    assert max(len(pairs) for pairs in classes.values()) <= min(len(a), len(b))
     # classes partition A x B
-    assert sum(len(p) for p in t.classes.values()) == len(a) * len(b)
-    assert list(t.classes) == sorted(t.classes)
+    pairs = [pair for members in classes.values() for pair in members]
+    assert sorted(pairs) == sorted((x, y) for x in a for y in b)
 
 
 # ----------------------------------------------------------------- detect_ap

@@ -75,9 +75,21 @@ def test_contract_lone_edge_rejected():
     assert any(v.kind == "isolated-vertex" for v in exc.value.violations)
 
 
-def test_contract_unknown_edge():
-    with pytest.raises(ValueError):
-        contract_edge(p3_example(), ("u", "w"))
+@pytest.mark.parametrize("op", [contract_edge, subdivide], ids=["contract", "subdivide"])
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (("u", "w"), "no such edge: ('u', 'w')"),
+        (["w", "u"], "no such edge: ('u', 'w')"),
+        (("a", 1), "no such edge: ('a', 1)"),
+        (("a",), "no such edge: ('a',)"),
+    ],
+    ids=["absent", "absent-list", "non-string", "one-endpoint"],
+)
+def test_contract_unknown_edge(op, edge, message):
+    with pytest.raises(ValueError) as exc:
+        op(p3_example(), edge)
+    assert str(exc.value) == message
 
 
 P3_TRANSFORMS = {
