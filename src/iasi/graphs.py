@@ -80,64 +80,53 @@ def _bfs_components(vertices, neighbors) -> Iterator[list]:
         yield order
 
 
-# Tags an unhashable id's stand-in key, so that no caller's id equals one.
-_UNHASHABLE = object()
-
-
-def _key(x, unhashable: list, vertex=False):
-    """``x`` as an adjacency key: itself when hashable, else a stand-in holding
-    its index in ``unhashable`` (a new vertex joins it; -1 names no vertex)."""
-    try:
-        hash(x)
-        return x
-    except TypeError:
-        if vertex and x not in unhashable:
-            unhashable.append(x)
-        return (_UNHASHABLE, unhashable.index(x) if x in unhashable else -1)
-
-
 def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
     """One pass over the raw data: its violations and the adjacency sets of its valid edges.
 
-    A non-string id is kept under a key of its own, so its edges report no
-    dangling end: itself when hashable, else a stand-in found again by
-    equality. Reports always name the ids as given.
+    Only string ids key the adjacency dict. Any other id is a violation
+    itself, kept in a plain list where an edge end is found again by
+    equality: its edges report no dangling end, and their string ends get
+    the neighbour None (the graph is rejected anyway), so none is isolated.
+    Reports always name the ids as given.
     """
     violations = []
     adjacency = {}
-    unhashable = []  # the unhashable vertex ids; each one's stand-in holds its index
+    others = []  # the non-string vertex ids, hashable or not
     for v in vertices:
-        k = v if isinstance(v, str) else _key(v, unhashable, vertex=True)
-        if k in adjacency:
+        if isinstance(v, str):
+            if v in adjacency:
+                violations.append(GraphViolation("duplicate-vertex", v))
+            else:
+                adjacency[v] = set()
+        elif v in others:
             violations.append(GraphViolation("duplicate-vertex", v))
         else:
-            adjacency[k] = set()
-            if not isinstance(v, str):
-                violations.append(GraphViolation("non-string-vertex", v))
-    if not adjacency:
+            others.append(v)
+            violations.append(GraphViolation("non-string-vertex", v))
+    if not adjacency and not others:
         violations.append(GraphViolation("empty-graph", ()))
 
     for u, v in edges:
         if u == v:
             violations.append(GraphViolation("self-loop", (u, v)))
             continue
-        ku, kv = u, v
         try:
-            dangling = (ku not in adjacency) + (kv not in adjacency)  # one report per unknown end
-        except TypeError:  # an unhashable end
-            ku, kv = _key(u, unhashable), _key(v, unhashable)
-            dangling = (ku not in adjacency) + (kv not in adjacency)
-        if dangling:
-            violations += [GraphViolation("dangling-endpoint", (u, v))] * dangling
-        elif kv in adjacency[ku]:
-            # a non-string end has no canonical order and is reported as a vertex
-            if isinstance(u, str) and isinstance(v, str):
-                violations.append(GraphViolation("duplicate-edge", _canonical_edge(u, v)))
+            nu, nv = adjacency[u], adjacency[v]
+        except (KeyError, TypeError):  # an end that is not a string vertex
+            known = [x in adjacency if isinstance(x, str) else x in others for x in (u, v)]
+            violations += [GraphViolation("dangling-endpoint", (u, v))] * known.count(False)
+            if all(known):  # a non-string vertex's edge: its string end is not isolated
+                for x in (u, v):
+                    if isinstance(x, str):
+                        adjacency[x].add(None)
+            continue
+        if v in nu:
+            violations.append(GraphViolation("duplicate-edge", _canonical_edge(u, v)))
         else:
-            adjacency[ku].add(kv)
-            adjacency[kv].add(ku)
+            nu.add(v)
+            nv.add(u)
 
-    isolated = sorted([v for v, ns in adjacency.items() if not ns and isinstance(v, str)])
+    isolated = sorted([v for v, ns in adjacency.items() if not ns])
     violations += [GraphViolation("isolated-vertex", v) for v in isolated]
     return violations, adjacency
 

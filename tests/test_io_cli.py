@@ -166,6 +166,8 @@ def test_load_graph_ignores_labels(tmp_path):
         ({"graph": {"vertices": ["a", "-b"], "edges": [["a", "-b"]]}}, "graph.vertices"),
         # a lone surrogate is a legal JSON escape with no UTF-8 form
         ({"graph": {"vertices": ["a", "\ud800"], "edges": [["a", "\ud800"]]}}, "graph.vertices"),
+        ([{"graph": {"vertices": ["a", "b"], "edges": [["a", "b"]]}}], "document"),  # an array
+        ({"graph": {"vertices": ["a", "b"], "edges": {}}}, "graph.edges"),
     ],
 )
 def test_schema_errors_name_the_field(tmp_path, payload, context):
@@ -183,6 +185,7 @@ def test_schema_errors_name_the_field(tmp_path, payload, context):
         ({"a": [0, True], "b": [0]}, "labels.a"),
         ({"a": [0, -1], "b": [0]}, "labels.a"),
         ({"a": [0, 1.5], "b": [0]}, "labels.a"),
+        ([], "labels"),
     ],
 )
 def test_label_schema_errors(tmp_path, labels, context):
@@ -442,6 +445,29 @@ def test_cli_construct_size_range(tmp_path, capsys):
     assert code == 0
     sizes = {len(v) for v in json.loads(Path(out).read_text())["labels"].values()}
     assert sizes <= {3, 4, 5}
+
+
+def test_cli_construct_single_size(tmp_path, capsys):
+    src = bare_graph_doc(tmp_path, Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]))
+    out = str(tmp_path / "x.json")
+    code, _, _ = run_cli(capsys, "construct", "--input", src, "--output", out, "--sizes", "4")
+    assert code == 0
+    sizes = [len(v) for v in json.loads(Path(out).read_text())["labels"].values()]
+    assert sizes == [4, 4, 4]
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [("3,x", "sizes must be integers"), ("3,4,5", "expected one size or a lo,hi pair")],
+)
+def test_cli_construct_bad_sizes(tmp_path, capsys, sizes, message):
+    src = bare_graph_doc(tmp_path, Graph(["a", "b"], [("a", "b")]))
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--input", src, "--output", str(out), "--sizes", sizes])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_verify_failure_names_collision(tmp_path, capsys):

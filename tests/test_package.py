@@ -4,8 +4,10 @@ import argparse
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +86,16 @@ def test_readme_quick_start_runs():
     assert [want for _, want in shown] == ["IntegerSet({0, 1, 2, 3, 4, 5, 6})", "3"]
     for expr, want in shown:
         assert repr(eval(expr, namespace)) == want, expr
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """README's ``python3 -m iasi`` entry point, run away from the checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(iasi.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "iasi", "--version"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "iasi 0.1.0\n", "")
 
 
 # backticked README names that are not library names: a builtin exception,

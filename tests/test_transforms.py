@@ -135,6 +135,14 @@ def test_reduce_requires_degree_two():
         reduce_topologically(lg, "a")
 
 
+@pytest.mark.parametrize("vertex", ["zz", 1, ["a"]], ids=["absent", "int", "list"])
+def test_reduce_unknown_vertex(vertex):
+    lg = uniform(star_graph(4))
+    with pytest.raises(ValueError) as exc:
+        reduce_topologically(lg, vertex)
+    assert str(exc.value) == f"no such vertex: {vertex!r}"
+
+
 def test_reduce_requires_non_adjacent_neighbors():
     lg = uniform(cycle_graph(3))
     with pytest.raises(ValueError, match="adjacent"):
@@ -244,6 +252,21 @@ def test_total_graph_vertex_vs_edge_label_collision():
     with pytest.raises(LabelCollisionError) as exc:
         to_total_graph(lg)
     assert exc.value.witness.kind in ("vertex", "edge")
+
+
+@pytest.mark.parametrize("policy", ["fixed", "random", "maximal"])
+def test_new_point_names_avoid_existing_vertices(policy):
+    # each new point takes an apostrophe when its name is already a vertex
+    for op, existing in (
+        (to_total_graph, "(a,b)"),
+        (lambda lg: contract_edge(lg, ("a", "b")), "(a*b)"),
+        (lambda lg: subdivide(lg, ("a", "b")), "(a~b)"),
+    ):
+        graph = Graph(["a", "b", existing], [("a", "b"), ("b", existing)])
+        lg = construct_arbitrary(graph, ConstructionParams(multiplier_policy=policy)).labeled_graph
+        out = op(lg)
+        assert out.vertex_labels[existing + "'"] == lg.edge_labels[("a", "b")]
+        assert out.vertex_labels[existing] == lg.vertex_labels[existing]
 
 
 # ------------------------------------------------- preservation, uniform case
