@@ -28,6 +28,7 @@ from functools import partial
 from itertools import chain, combinations
 from typing import Iterator
 
+from ._workers import dealt, worker_count
 from .classify import (
     _non_progression_edges,
     check_gcd_invariant,
@@ -257,7 +258,7 @@ def _check_labeling(lg: LabeledGraph, policy: str) -> list:
         ("transform-contract", _transform, contract_edge, lg, first_edge),
         ("transform-subdivide", _transform, subdivide, lg, first_edge),
     ]
-    reducible = graph._fact("reducible", _first_reducible)
+    reducible = graph._fact(_first_reducible)
     if reducible is not None:
         checks.append(("transform-reduce", _transform, reduce_topologically, lg, reducible))
     if len(graph.edges) >= 2:
@@ -302,10 +303,6 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
     Only counters are kept; the summary counts outcomes and carries the
     sweep's elapsed time.
     """
-    # imported here, not at the top: only a sweep uses the workers, so
-    # importing iasi costs what it did before they existed
-    from ._workers import dealt, worker_count
-
     started = time.perf_counter()
     enumerate_connected_graphs(max_n)  # checks max_n
     if isinstance(policies, str):

@@ -93,7 +93,7 @@ def verify_iasi(lg: LabeledGraph) -> InjectivityReport:
     The first collision in canonical order is returned as the witness. The
     labels are scanned once per labeled graph; later calls read the report.
     """
-    return lg._fact("injectivity", _verify)
+    return lg._fact(_verify)
 
 
 def _verified(lg: LabeledGraph) -> LabeledGraph:
@@ -176,7 +176,7 @@ def _sub_minimal(lg: LabeledGraph) -> tuple:
 
 def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
     """The classification report, computed once per labeled graph."""
-    return lg._fact("classify", _classify)
+    return lg._fact(_classify)
 
 
 def _classify(lg: LabeledGraph) -> ClassificationReport:

@@ -136,16 +136,21 @@ class _Facts:
 
     __slots__ = ("_cache",)
 
-    def _fact(self, key, compute, *args):
-        """``compute(self, *args)``, run on first use and cached under ``key``.
+    def _fact(self, compute, *args):
+        """``compute(self, *args)``, run on first use and cached under ``compute``.
 
-        A key keeps the result for one argument tuple, the last one asked
-        for: asking with other arguments recomputes and replaces it. A
-        ``compute`` that raises caches nothing.
+        Each ``compute`` keeps its result for the last arguments asked for:
+        other arguments recompute and replace it. Unhashable arguments (a
+        list edge) could change in place, so their result is not kept, nor
+        that of a ``compute`` that raises.
         """
-        entry = self._cache.get(key)
+        try:
+            hash(args)
+        except TypeError:
+            return compute(self, *args)
+        entry = self._cache.get(compute)
         if entry is None or entry[0] != args:
-            entry = self._cache[key] = (args, compute(self, *args))
+            entry = self._cache[compute] = (args, compute(self, *args))
         return entry[1]
 
 
@@ -195,11 +200,11 @@ class Graph(_Facts):
 
     def _components(self) -> tuple:
         """Each component's breadth-first order (``_bfs_components``), as tuples."""
-        return self._fact("components", _breadth_first)
+        return self._fact(_breadth_first)
 
     def graph_id(self) -> str:
         """Canonical edge-list string; no vertex escapes it (none isolated)."""
-        return self._fact("id", _graph_id)
+        return self._fact(_graph_id)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -9,10 +9,11 @@ Document layout::
     }
 
 "labels" may be omitted for bare graphs (construction input). Vertex names
-are nonempty strings that do not start with "-", so every name can be given
-to the command line's ``--edge`` and ``--vertex``. Unknown fields anywhere
-are rejected; label arrays must be ascending and are normalized with a
-warning when they are not. Serialization is canonical: the text depends
+are nonempty UTF-8 strings that do not start with "-", so every name can be
+given to the command line's ``--edge`` and ``--vertex``; both writers refuse
+any other name with ValueError, so what they write loads back. Unknown
+fields anywhere are rejected; label arrays must be ascending and are
+normalized with a warning when they are not. Serialization is canonical: the text depends
 only on the labeled graph and the metadata passed to the writer.
 ``load_document`` drops metadata, so re-saving a loaded document gives the
 same bytes only when the same metadata is passed back.
@@ -67,6 +68,28 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
+def _name_problem(vertices) -> str | None:
+    """Why the strings ``vertices`` cannot all be a document's vertex names, or
+    None if they can: the first name that breaks the first rule broken."""
+    if "" in vertices:
+        return "vertex name '' is empty"
+    dashed = [v for v in vertices if v[0] == "-"]
+    if dashed:
+        return f"vertex name {dashed[0]!r} starts with '-'"
+    # UTF-8 has no form for a surrogate, paired or not: one joined check covers every name
+    if not _is_utf8("".join(vertices)):
+        bad = next(v for v in vertices if not _is_utf8(v))
+        return f"vertex name {bad!r} is not UTF-8 text (a lone surrogate)"
+    return None
+
+
+def _require_names(graph: Graph):
+    """A writer's check: ValueError naming the first vertex the reader would refuse."""
+    problem = _name_problem(graph.vertices)
+    if problem:
+        raise ValueError(problem)
+
+
 def _parse_graph(doc) -> Graph:
     _check_fields(doc, {"graph", "labels", "metadata"}, {"graph"}, "document")
     gobj = doc["graph"]
@@ -74,15 +97,9 @@ def _parse_graph(doc) -> Graph:
     vertices = gobj["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) and v for v in vertices):
         raise SchemaError("vertices must be a list of nonempty strings", context="graph.vertices")
-    dashed = [v for v in vertices if v.startswith("-")]
-    if dashed:
-        raise SchemaError(f"vertex name {dashed[0]!r} starts with '-'", context="graph.vertices")
-    unencodable = [v for v in vertices if not _is_utf8(v)]
-    if unencodable:
-        raise SchemaError(
-            f"vertex name {unencodable[0]!r} is not UTF-8 text (a lone surrogate)",
-            context="graph.vertices",
-        )
+    problem = _name_problem(vertices)
+    if problem:
+        raise SchemaError(problem, context="graph.vertices")
     edges = gobj["edges"]
     if not isinstance(edges, list):
         raise SchemaError("edges must be a list", context="graph.edges")
@@ -173,7 +190,9 @@ def document_text(lg: LabeledGraph, metadata=None) -> str:
     written directly so that no element passes through the pure-Python
     encoder that ``indent`` selects. Every array here is non-empty (a graph has
     a vertex and an edge, a label an element), so none needs the ``[]`` form.
+    A vertex name the reader would refuse raises ValueError first.
     """
+    _require_names(lg.graph)
     quoted = {v: _quote(v) for v in lg.graph.vertices}
     edges = [
         "[\n        %s,\n        %s\n      ]" % (quoted[u], quoted[v]) for u, v in lg.graph.edges
@@ -211,7 +230,10 @@ def _dot_id(name: str) -> str:
 
 
 def dot_text(lg: LabeledGraph) -> str:
-    """Graphviz source with one node/edge line per element, label attributes set."""
+    """Graphviz source with one node/edge line per element, label attributes set.
+
+    A vertex name a document may not hold raises ValueError first."""
+    _require_names(lg.graph)
     ids = {v: _dot_id(v) for v in lg.graph.vertices}
     lines = ["graph G {"]
     lines += [

@@ -11,11 +11,12 @@ New points need names: a contraction of (u, v) is called "(u*v)", a
 subdivision point "(u~v)", a line/total point for edge (u, v) "(u,v)";
 apostrophes are appended on the rare clash with an existing name.
 
-The output structure and its new names depend on the input graph alone, so
-each transform splits in two: a builder ``(graph, *args) -> (output graph,
-{edge: new point})``, run once per input graph and argument through
-``Graph._fact``, and the label transfer, run on every call. The builder's
-output is a checked ``Graph``, and every transferred labeling is verified.
+Each transform is one ``_transferred`` call: it checks that the labeling is
+an arithmetic IASI, reads its builder's output structure from the input
+graph's facts, and transfers and verifies the labels. A builder
+``(graph, *args) -> (output graph, {edge: new point})`` checks its arguments
+and reads the input graph alone, so ``Graph._fact`` runs it once per graph
+and argument.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ __all__ = [
 ]
 
 
-def _require_arithmetic(lg: LabeledGraph, op: str):
-    report = classify_arithmetic(lg)
-    if not report.is_iasi:
-        raise NotArithmeticError(f"{op} requires an injective labeling: {report.collision}")
-    if not report.arithmetic:
-        raise NotArithmeticError(f"{op} requires an arithmetic labeling")
-
-
 def _fresh_name(base: str, taken) -> str:
     name = base
     while name in taken:
@@ -59,7 +52,7 @@ def _edge_points(graph: Graph, taken) -> tuple[dict, list]:
         names[(u, v)] = name = _fresh_name(f"({u},{v})", taken)
         taken.add(name)
     adjacent = [
-        _canonical_edge(names[_canonical_edge(x, a)], names[_canonical_edge(x, b)])
+        (names[_canonical_edge(x, a)], names[_canonical_edge(x, b)])
         for x in graph.vertices
         for a, b in combinations(graph.neighbors(x), 2)
     ]
@@ -80,11 +73,16 @@ def _require_edge(graph: Graph, edge) -> tuple:
     return e
 
 
-def _transferred(lg: LabeledGraph, kind: str, build, *args) -> LabeledGraph:
-    """``build``'s output structure, read from the input graph's facts under
-    ``kind``, labeled and verified: every vertex keeps its label, and the new
-    point for edge e takes e's label."""
-    graph, names = lg.graph._fact(kind, build, *args)
+def _transferred(lg: LabeledGraph, op: str, build, *args) -> LabeledGraph:
+    """The transform ``op`` of ``lg``, which must be an arithmetic IASI (checked
+    before ``build`` checks ``args``): every vertex keeps its label, and the
+    new point for edge e takes e's label."""
+    report = classify_arithmetic(lg)
+    if not report.is_iasi:
+        raise NotArithmeticError(f"{op} requires an injective labeling: {report.collision}")
+    if not report.arithmetic:
+        raise NotArithmeticError(f"{op} requires an arithmetic labeling")
+    graph, names = lg.graph._fact(build, *args)
     labels = dict(lg.vertex_labels)
     for e, name in names.items():
         labels[name] = lg.edge_labels[e]
@@ -92,7 +90,7 @@ def _transferred(lg: LabeledGraph, kind: str, build, *args) -> LabeledGraph:
 
 
 def _contracted(graph: Graph, edge) -> tuple:
-    u, v = edge
+    u, v = edge = _require_edge(graph, edge)
     merged = _fresh_name(f"({u}*{v})", set(graph.vertices) - {u, v})
     vertices = [x for x in graph.vertices if x not in (u, v)] + [merged]
     new_edges = set()
@@ -102,7 +100,7 @@ def _contracted(graph: Graph, edge) -> tuple:
         x2 = merged if x in (u, v) else x
         y2 = merged if y in (u, v) else y
         new_edges.add(_canonical_edge(x2, y2))
-    return Graph(vertices, sorted(new_edges)), {edge: merged}
+    return Graph(vertices, new_edges), {edge: merged}
 
 
 def contract_edge(lg: LabeledGraph, edge) -> LabeledGraph:
@@ -112,8 +110,7 @@ def contract_edge(lg: LabeledGraph, edge) -> LabeledGraph:
     contraction strands a vertex without edges (contracting the only edge),
     the result violates the no-isolated-vertices invariant and is rejected.
     """
-    _require_arithmetic(lg, "contract_edge")
-    return _transferred(lg, "contract", _contracted, _require_edge(lg.graph, edge))
+    return _transferred(lg, "contract_edge", _contracted, edge)
 
 
 def _reduction_problem(graph: Graph, vertex) -> str | None:
@@ -134,7 +131,7 @@ def _reduced(graph: Graph, vertex) -> tuple:
         raise ValueError(problem)
     u, w = graph.neighbors(vertex)
     vertices = [x for x in graph.vertices if x != vertex]
-    edges = [e for e in graph.edges if vertex not in e] + [_canonical_edge(u, w)]
+    edges = [e for e in graph.edges if vertex not in e] + [(u, w)]
     return Graph(vertices, edges), {}
 
 
@@ -144,22 +141,19 @@ def reduce_topologically(lg: LabeledGraph, vertex: str) -> LabeledGraph:
     The inverse of subdivide: labels stay put and the new bridging edge gets
     the sumset of the reconnected endpoints.
     """
-    _require_arithmetic(lg, "reduce_topologically")
-    return _transferred(lg, "reduce", _reduced, vertex)
+    return _transferred(lg, "reduce_topologically", _reduced, vertex)
 
 
 def _subdivided(graph: Graph, edge) -> tuple:
-    u, v = edge
+    u, v = edge = _require_edge(graph, edge)
     mid = _fresh_name(f"({u}~{v})", graph.vertices)
-    edges = [e for e in graph.edges if e != edge]
-    edges += [_canonical_edge(u, mid), _canonical_edge(mid, v)]
+    edges = [e for e in graph.edges if e != edge] + [(u, mid), (mid, v)]
     return Graph(list(graph.vertices) + [mid], edges), {edge: mid}
 
 
 def subdivide(lg: LabeledGraph, edge) -> LabeledGraph:
     """Replace an edge by a two-edge path; the new midpoint gets the edge label."""
-    _require_arithmetic(lg, "subdivide")
-    return _transferred(lg, "subdivide", _subdivided, _require_edge(lg.graph, edge))
+    return _transferred(lg, "subdivide", _subdivided, edge)
 
 
 def _line(graph: Graph) -> tuple:
@@ -176,16 +170,14 @@ def to_line_graph(lg: LabeledGraph) -> LabeledGraph:
     point). Two new vertices are adjacent when the old edges shared an
     endpoint.
     """
-    _require_arithmetic(lg, "to_line_graph")
-    return _transferred(lg, "line", _line)
+    return _transferred(lg, "to_line_graph", _line)
 
 
 def _total(graph: Graph) -> tuple:
     names, adjacent = _edge_points(graph, graph.vertices)
     edges = list(graph.edges) + adjacent
     for u, v in graph.edges:
-        edges.append(_canonical_edge(u, names[(u, v)]))
-        edges.append(_canonical_edge(v, names[(u, v)]))
+        edges += [(u, names[(u, v)]), (v, names[(u, v)])]
     return Graph(list(graph.vertices) + list(names.values()), edges), names
 
 
@@ -196,5 +188,4 @@ def to_total_graph(lg: LabeledGraph) -> LabeledGraph:
     of these are vertex labels now, so a vertex label equal to an edge label
     becomes a collision here even though the original labeling was fine.
     """
-    _require_arithmetic(lg, "to_total_graph")
-    return _transferred(lg, "total", _total)
+    return _transferred(lg, "to_total_graph", _total)

@@ -34,6 +34,7 @@ from iasi import (
     verify_iasi,
 )
 from iasi import catalog
+from iasi._workers import worker_count
 from iasi.construct import _progression_labels
 
 PROBE = "probe-k3-three-index"
@@ -423,6 +424,15 @@ def test_a_process_with_threads_is_not_forked(monkeypatch):
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
+    assert forks == []
+
+
+def test_a_platform_without_cpu_affinity_is_not_forked(monkeypatch):
+    # macOS has os.fork but no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 1
+    forks = count_forks(monkeypatch)
+    assert run_catalog_checks(5)["graphs"] == 771
     assert forks == []
 
 

@@ -267,3 +267,29 @@ def test_induction_overflow_rejected():
     with pytest.raises(LabelOverflowError):
         LabeledGraph(g, {"u": {U64_MAX}, "v": {2}})
 
+
+
+def test_equal_labeled_graphs_hash_equal_and_key_a_dict():
+    labels = {"u": {0, 1}, "v": {2, 3}, "w": {4, 6}}
+    first = LabeledGraph(triangle(), labels)
+    second = LabeledGraph(triangle(), dict(reversed(labels.items())))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert {first: "kept"}[second] == "kept"
+    assert LabeledGraph(triangle(), {**labels, "w": {4, 7}}) not in {first: "kept"}
+
+
+def test_graphs_are_unequal_to_non_graphs():
+    graph = triangle()
+    lg = LabeledGraph(graph, {"u": {0, 1}, "v": {2, 3}, "w": {4, 6}})
+    for value in (graph, lg):
+        for other in (None, 0, graph.graph_id(), (graph.vertices, graph.edges)):
+            assert value.__eq__(other) is NotImplemented
+            assert value != other and not value == other
+    assert graph != lg and lg != graph
+
+
+def test_reprs_name_the_graph():
+    graph = triangle()
+    assert repr(graph) == "Graph(|V|=3, edges='u-v,u-w,v-w')"
+    lg = LabeledGraph(graph, {"u": {0, 1}, "v": {2, 3}, "w": {4, 6}})
+    assert repr(lg) == "LabeledGraph(Graph(|V|=3, edges='u-v,u-w,v-w'))"

@@ -371,7 +371,7 @@ def reference_set(label):
 
 @settings(max_examples=300, deadline=None)
 @given(labeled_graphs(), st.one_of(st.none(), json_values))
-def test_writers_match_references(lg, metadata):
+def test_writers_match_references(tmp_path_factory, lg, metadata):
     doc = {
         "graph": {
             "vertices": list(lg.graph.vertices),
@@ -382,6 +382,10 @@ def test_writers_match_references(lg, metadata):
     if metadata is not None:
         doc["metadata"] = metadata
     assert document_text(lg, metadata) == json.dumps(doc, indent=2) + "\n"
+    # and every document written loads back as the labeled graph it was written from
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    save_document(lg, path, metadata)
+    assert load_document(path) == lg
 
     lines = ["graph G {"]
     for v in lg.graph.vertices:
@@ -783,21 +787,43 @@ def test_cli_export_dot_rejects_lone_surrogate_name(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "write",
+    "write, error",
     [
-        # a built graph may still carry a lone surrogate, which DOT writes raw
-        lambda path: export_dot(
-            LabeledGraph(Graph(["a", "\ud800"], [("a", "\ud800")]), {"a": {0}, "\ud800": {1}}),
-            path,
+        # a built graph may still carry a lone surrogate, which no reader accepts
+        (
+            lambda path: export_dot(
+                LabeledGraph(Graph(["a", "\ud800"], [("a", "\ud800")]), {"a": {0}, "\ud800": {1}}),
+                path,
+            ),
+            ValueError,
         ),
-        lambda path: save_document(sample_lg(), path, metadata={"seed": object()}),
+        (lambda path: save_document(sample_lg(), path, metadata={"seed": object()}), TypeError),
     ],
     ids=["export_dot", "save_document"],
 )
-def test_failed_write_leaves_no_file(tmp_path, write):
+def test_failed_write_leaves_no_file(tmp_path, write, error):
     out = tmp_path / "out"
-    with pytest.raises((UnicodeEncodeError, TypeError)):
+    with pytest.raises(error):
         write(out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("-a", "vertex name '-a' starts with '-'"),
+        ("", "vertex name '' is empty"),
+        ("\ud800", "vertex name '\\ud800' is not UTF-8 text (a lone surrogate)"),
+    ],
+    ids=["dash", "empty", "surrogate"],
+)
+@pytest.mark.parametrize("write", [save_document, export_dot], ids=["document", "dot"])
+def test_writers_refuse_names_the_reader_refuses(tmp_path, write, name, message):
+    lg = LabeledGraph(Graph(["a", name], [("a", name)]), {"a": {0}, name: {1}})
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as exc:
+        write(lg, out)
+    assert str(exc.value) == message
     assert not out.exists()
 
 

@@ -26,6 +26,7 @@ from iasi import (
     to_line_graph,
     to_total_graph,
 )
+from iasi.transforms import _contracted, _subdivided
 
 
 def p3_example():
@@ -341,13 +342,42 @@ def test_contracting_every_edge_keeps_one_structure():
         if isinstance(fact, tuple) and isinstance(fact[0], Graph)
     ]
     assert len(structures) == 1
-    assert graph._cache["contract"][0] == (graph.edges[-1],)
+    assert graph._cache[_contracted][0] == (graph.edges[-1],)
     # a structure that fails its check is not kept
     lone = LabeledGraph(Graph(["u", "v"], [("u", "v")]), {"u": {0, 1, 2}, "v": {10, 12, 14}})
     for _ in range(2):
         with pytest.raises(GraphValidationError):
             contract_edge(lone, ("u", "v"))
-    assert "contract" not in lone.graph._cache
+    assert _contracted not in lone.graph._cache
+
+
+@pytest.mark.parametrize(
+    "op, build",
+    [(contract_edge, _contracted), (subdivide, _subdivided)],
+    ids=["contract", "subdivide"],
+)
+def test_an_edge_failing_its_check_caches_nothing(op, build):
+    lg = p3_example()
+    op(lg, ("v", "w"))
+    kept = dict(lg.graph._cache)
+    for edge in [("u", "w"), ("u",), ("u", 1), "uv"]:
+        with pytest.raises(ValueError, match="no such edge"):
+            op(lg, edge)
+    assert lg.graph._cache == kept
+    assert kept[build][0] == (("v", "w"),)
+
+
+@pytest.mark.parametrize("op", [contract_edge, subdivide], ids=["contract", "subdivide"])
+def test_edge_orientation_and_type_do_not_matter(op):
+    expected = op(p3_example(), ("u", "v"))
+    lg = p3_example()
+    for edge in [("v", "u"), ["u", "v"], ["v", "u"], ("u", "v")]:
+        assert op(lg, edge) == expected
+    # a list edge changed after the call is read afresh, not from the cache
+    edge = ["u", "v"]
+    op(lg, edge)
+    edge[:] = ["v", "w"]
+    assert op(lg, edge) == op(p3_example(), ("v", "w"))
 
 
 @pytest.mark.parametrize(
