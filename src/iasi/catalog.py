@@ -3,8 +3,8 @@
 Connected labeled simple graphs are enumerated by adjacency bitmask (no
 isomorphism reduction), so the stream is exactly the 1, 4, 38, 728, ...
 connected graphs on 2, 3, 4, 5, ... named vertices a, b, c, ... Each graph
-is constructed, then ``_check_labeling``, which takes any labeling, checks
-the claims on it; every check emits one CheckRecord suitable for JSONL
+is constructed, then ``_check_labeling``, which takes any arithmetic IASI,
+checks the claims on it; every check emits one CheckRecord suitable for JSONL
 persistence. A sweep deals every shard of masks, from n=2 up, to one
 ``_workers.dealt`` call, serial or forked, with the same stream either way.
 
@@ -38,7 +38,7 @@ from .classify import (
 )
 from .construct import ConstructionParams, construct_arbitrary, construct_complete
 from .errors import GraphValidationError, LabelCollisionError
-from .graphs import Graph, LabeledGraph, _bfs_components, _vertex_names, complete_graph
+from .graphs import Graph, LabeledGraph, _vertex_names, complete_graph
 from .transforms import (
     _reduction_problem,
     contract_edge,
@@ -63,20 +63,15 @@ MAX_CATALOG_N = 7
 _SHARD_MASKS = 32
 
 
-def _connected(n: int, edges) -> bool:
-    adj = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return len(next(_bfs_components(range(n), adj.__getitem__))) == n
-
-
 def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
     """Every connected labeled graph on 2..max_n vertices, smallest first.
 
     Within one vertex count the order is by edge bitmask over the
-    lexicographic vertex pairs, so the stream is stable across runs. A bad
-    ``max_n`` raises here, at the call, not at the first graph.
+    lexicographic vertex pairs, so the stream is stable across runs. A mask
+    that leaves some vertex without a pair is skipped; every other mask is
+    built as a ``Graph``, and only the connected ones are kept, each with
+    the breadth-first order that decided it cached. A bad ``max_n`` raises
+    here, at the call, not at the first graph.
     """
     if not isinstance(max_n, int) or not MIN_CATALOG_N <= max_n <= MAX_CATALOG_N:
         raise ValueError(f"max_n must be in [{MIN_CATALOG_N}, {MAX_CATALOG_N}], got {max_n!r}")
@@ -94,12 +89,14 @@ def _shards(vertex_counts) -> Iterator[tuple[int, range]]:
 def _connected_graphs(shards) -> Iterator[Graph]:
     for n, masks in shards:
         vertices = _vertex_names(n)
-        pairs = list(combinations(range(n), 2))
+        pairs = list(combinations(vertices, 2))
+        # each vertex's pairs as a mask: a mask holding none of them leaves that vertex isolated
+        incident = [sum(1 << i for i, pair in enumerate(pairs) if v in pair) for v in vertices]
         for mask in masks:
-            chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            if not _connected(n, chosen):
-                continue
-            yield Graph(vertices, [(vertices[i], vertices[j]) for i, j in chosen])
+            if all(mask & pairs_at for pairs_at in incident):
+                graph = Graph(vertices, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                if graph.is_connected():
+                    yield graph
 
 
 # json.dumps with these settings, without building an encoder per record
@@ -243,9 +240,14 @@ def _first_reducible(graph: Graph):
 def _check_labeling(lg: LabeledGraph, policy: str) -> list:
     """The catalog's claims on one labeling, in stream order; ``policy`` names the records.
 
-    Every vertex and edge label must be a progression (a non-progression
-    edge label raises NotArithmeticError at the gcd check). Reduce runs at
-    the first reducible vertex, if any; line needs two edges.
+    The labeling must be an arithmetic IASI of a connected graph: injective,
+    every vertex label a progression of 3 or more elements, every edge label
+    a progression. Any other labeling raises partway: NotArithmeticError
+    from the gcd check, which needs every label to be a progression, or else
+    from the contraction, which needs an arithmetic IASI (so a repeated label
+    or a 2-element vertex label raises there), and DisconnectedGraphError
+    from the gcd check on a disconnected graph. Reduce runs at the first
+    reducible vertex, if any; line needs two edges.
     """
     graph = lg.graph
     gid = graph.graph_id()

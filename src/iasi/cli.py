@@ -34,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_CRASH = 3
 
 _DEFAULT_POLICY = ConstructionParams.multiplier_policy
+# what a sweep up to MAX_CATALOG_N vertices checks (OEIS A001187, n = 2..7)
+_LARGE_SWEEP = "1,893,731 graphs, 1,866,256 of them on 7 vertices"
 
 # op -> (transform, the args attribute it takes or None, that option's text)
 _TRANSFORMS = {
@@ -123,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="required for --max-n 7 (1.87M graphs)",
+        help=f"required for --max-n {MAX_CATALOG_N} ({_LARGE_SWEEP})",
     )
 
     p = sub.add_parser("export-dot", help="write Graphviz DOT with label attributes")
@@ -209,8 +211,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.max_n >= 7 and not args.allow_large:
-        print("error: --max-n 7 enumerates 1.87M graphs; pass --allow-large", file=sys.stderr)
+    if args.max_n >= MAX_CATALOG_N and not args.allow_large:
+        print(
+            f"error: --max-n {MAX_CATALOG_N} sweeps {_LARGE_SWEEP}; pass --allow-large",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     policies = tuple(args.policy or (_DEFAULT_POLICY,))
     summary = run_catalog_checks(

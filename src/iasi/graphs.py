@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from typing import Iterator
 
 from .errors import GraphValidationError, InvalidLabelingError
 from .sets import IntegerSet, sumset
@@ -29,8 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GraphViolation:
-    # empty-graph | self-loop | duplicate-edge | duplicate-vertex |
-    # non-string-vertex | isolated-vertex | dangling-endpoint
+    # empty-graph | malformed-edge | self-loop | duplicate-edge |
+    # duplicate-vertex | non-string-vertex | isolated-vertex | dangling-endpoint
     kind: str
     element: object
 
@@ -60,26 +59,6 @@ def _canonical_edge(u, v):
     return (u, v) if u <= v else (v, u)
 
 
-def _bfs_components(vertices, neighbors) -> Iterator[list]:
-    """Breadth-first visit order of each component, rooted at its first vertex.
-
-    ``neighbors(v)`` lists the vertices adjacent to ``v``; components come in
-    the order their roots appear in ``vertices``.
-    """
-    seen = set()
-    for root in vertices:
-        if root in seen:
-            continue
-        seen.add(root)
-        order = [root]
-        for cur in order:
-            for nb in neighbors(cur):
-                if nb not in seen:
-                    seen.add(nb)
-                    order.append(nb)
-        yield order
-
-
 def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
     """One pass over the raw data: its violations and the adjacency sets of its valid edges.
 
@@ -106,7 +85,11 @@ def _scan(vertices, edges) -> tuple[list[GraphViolation], dict]:
     if not adjacency and not others:
         violations.append(GraphViolation("empty-graph", ()))
 
-    for u, v in edges:
+    for edge in edges:
+        if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+            violations.append(GraphViolation("malformed-edge", edge))
+            continue
+        u, v = edge
         if u == v:
             violations.append(GraphViolation("self-loop", (u, v)))
             continue
@@ -161,9 +144,11 @@ class Graph(_Facts):
     ``violations`` lists every problem found in one scan: no vertices at
     all, duplicate vertex ids, ids that are not strings (``non-string-vertex``,
     once per such vertex, hashable or not; it is never also isolated, nor
-    its edges duplicates), self-loops, duplicate edges (in either
-    orientation), endpoints naming no vertex, and vertices left without any
-    valid incident edge. Edges are stored as ordered pairs (u, v) with u < v.
+    its edges duplicates), edges that are not a tuple or list of two ends
+    (``malformed-edge``: a string, a set, one end or three), self-loops,
+    duplicate edges (in either orientation), endpoints naming no vertex, and
+    vertices left without any valid incident edge. Edges are stored as
+    ordered pairs (u, v) with u < v.
 
     Facts that depend on the graph alone are computed on first use and kept
     with it: the id, the breadth-first order of each component, and each
@@ -199,7 +184,7 @@ class Graph(_Facts):
         return len(self._components()) == 1
 
     def _components(self) -> tuple:
-        """Each component's breadth-first order (``_bfs_components``), as tuples."""
+        """Each component's breadth-first order (``_breadth_first``), as tuples."""
         return self._fact(_breadth_first)
 
     def graph_id(self) -> str:
@@ -219,7 +204,21 @@ class Graph(_Facts):
 
 
 def _breadth_first(graph: Graph) -> tuple:
-    return tuple(map(tuple, _bfs_components(graph.vertices, graph.neighbors)))
+    """Each component's breadth-first order, from its first vertex in ``graph.vertices``."""
+    seen = set()
+    components = []
+    for root in graph.vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        order = [root]
+        for cur in order:
+            for nb in graph._adjacency[cur]:
+                if nb not in seen:
+                    seen.add(nb)
+                    order.append(nb)
+        components.append(tuple(order))
+    return tuple(components)
 
 
 def _graph_id(graph: Graph) -> str:

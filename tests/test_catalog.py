@@ -33,8 +33,9 @@ from iasi import (
     star_graph,
     verify_iasi,
 )
-from iasi import catalog
+from iasi import catalog, graphs
 from iasi._workers import worker_count
+from iasi.graphs import _breadth_first as breadth_first
 from iasi.construct import _progression_labels
 
 PROBE = "probe-k3-three-index"
@@ -70,6 +71,24 @@ def test_enumeration_yields_connected_canonical_graphs():
         assert g.edges == tuple(sorted(g.edges))
         seen.add(g.graph_id())
     assert len(seen) == 1 + 4 + 38
+
+
+def test_each_catalog_graph_is_searched_once(monkeypatch):
+    # the enumerator's connectivity test caches the order construct_arbitrary reads
+    searched = []
+
+    def counted(graph):
+        searched.append(graph)
+        return breadth_first(graph)
+
+    monkeypatch.setattr(graphs, "_breadth_first", counted)
+    kept = []
+    for graph in enumerate_connected_graphs(4):
+        check_one_graph(graph, "fixed", 0)
+        kept.append(graph)
+    # and the 3 graphs on 4 vertices that leave none isolated but are disconnected
+    assert len(searched) == len(kept) + 3 == 46
+    assert all(sum(s is graph for s in searched) == 1 for graph in kept)
 
 
 def test_complete_graph_enumerated_exactly_once():
@@ -218,6 +237,14 @@ def test_check_labeling_runs_on_any_labeling():
     # the multiplier 5 breaks the bound 3 and the gcd check cannot index an edge
     with pytest.raises(NotArithmeticError, match="edge"):
         catalog._check_labeling(p3_labeling((1, 5, 1)), "fixed")
+    # and the labeling must be an arithmetic IASI, though every label is a
+    # progression: a 2-element vertex label, or two equal vertex labels
+    short = LabeledGraph(path_graph(3), {"a": {0, 1}, "b": {10, 11, 12}, "c": {20, 21, 22}})
+    with pytest.raises(NotArithmeticError, match="requires an arithmetic labeling"):
+        catalog._check_labeling(short, "fixed")
+    repeated = LabeledGraph(path_graph(3), {"a": {0, 1, 2}, "b": {10, 11, 12}, "c": {0, 1, 2}})
+    with pytest.raises(NotArithmeticError, match="requires an injective labeling"):
+        catalog._check_labeling(repeated, "fixed")
 
     # a catalog graph's records are its construction, then the claims on what it built
     for graph in enumerate_connected_graphs(4):

@@ -73,6 +73,16 @@ def test_non_string_vertex_reported():
     ]
 
 
+def test_malformed_edge_reported():
+    # anything but a tuple or list of two ends, in edge order, in the same scan
+    edges = ["ab", {"a", "b"}, ("a", "b", "c"), ("a",), None, ["a", "b"]]
+    assert graph_violations(["a", "b"], edges) == [
+        GraphViolation("malformed-edge", edge) for edge in edges[:-1]
+    ]
+    with pytest.raises(GraphValidationError, match="malformed-edge at 'ab'"):
+        Graph(["a", "b"], ["ab"])
+
+
 def test_duplicate_vertex_reported():
     vs = graph_violations(["a", "b", "a"], [("a", "b")])
     assert "duplicate-vertex" in kinds(vs)
@@ -155,7 +165,11 @@ def reference_violations(vertices, edges):
             violations.append(GraphViolation("non-string-vertex", v))
         seen.append(v)
     seen_edges, touched = [], []
-    for u, v in edges:
+    for edge in edges:
+        if type(edge) not in (tuple, list) or len(edge) != 2:
+            violations.append(GraphViolation("malformed-edge", edge))
+            continue
+        u, v = edge
         if u == v:
             violations.append(GraphViolation("self-loop", (u, v)))
             continue
@@ -188,6 +202,16 @@ def reference_build(vertices, edges):
 names = st.sampled_from(["a", "b", "c", "d", "e"])
 # raw data may also name vertices by non-string ids, hashable or not
 raw_names = st.one_of(names, st.sampled_from([1, 2, None, ["a"], ["b"]]))
+# and edges that are no pair of ends: a string, a set, one or three ends, None
+raw_edges = st.one_of(
+    st.tuples(raw_names, raw_names),
+    st.lists(names, min_size=2, max_size=2),
+    st.text("abc", max_size=3),
+    st.frozensets(names, max_size=2),
+    st.tuples(raw_names),
+    st.tuples(raw_names, raw_names, raw_names),
+    st.none(),
+)
 
 
 @st.composite
@@ -204,7 +228,7 @@ def raw_graphs(draw):
         vertices = draw(st.permutations(sorted({x for e in edges for x in e})))
         return vertices, edges
     vertices = draw(st.lists(raw_names, max_size=6))
-    edges = draw(st.lists(st.tuples(raw_names, raw_names), max_size=8))
+    edges = draw(st.lists(raw_edges, max_size=8))
     return vertices, edges
 
 
