@@ -59,8 +59,10 @@ __all__ = [
 
 MIN_CATALOG_N = 2
 MAX_CATALOG_N = 7
-# Masks per shard, the unit of work a catalog worker checks and sends back.
-_SHARD_MASKS = 32
+# Masks per shard, the unit of work a catalog worker takes and sends back:
+# small enough that even a 5-vertex shard's frames (three policies) fit in a
+# 64 KB pipe buffer, so a worker that runs ahead rarely waits for the parent.
+_SHARD_MASKS = 8
 
 
 def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
@@ -78,21 +80,26 @@ def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
     return _connected_graphs(_shards(range(MIN_CATALOG_N, max_n + 1)))
 
 
-def _shards(vertex_counts) -> Iterator[tuple[int, range]]:
-    """Each vertex count's masks cut into ranges of ``_SHARD_MASKS``, in enumeration order."""
+def _shards(vertex_counts) -> Iterator[tuple[tuple, range]]:
+    """Each vertex count's masks cut into ranges of ``_SHARD_MASKS``, in enumeration order.
+
+    Every shard of one vertex count shares that count's layout: its vertex
+    names, its vertex pairs, and each vertex's pairs as a mask.
+    """
     for n in vertex_counts:
-        masks = range(1, 1 << (n * (n - 1) // 2))
+        vertices = _vertex_names(n)
+        pairs = list(combinations(vertices, 2))
+        incident = [sum(1 << i for i, pair in enumerate(pairs) if v in pair) for v in vertices]
+        layout = vertices, pairs, incident
+        masks = range(1, 1 << len(pairs))
         for start in range(0, len(masks), _SHARD_MASKS):
-            yield n, masks[start : start + _SHARD_MASKS]
+            yield layout, masks[start : start + _SHARD_MASKS]
 
 
 def _connected_graphs(shards) -> Iterator[Graph]:
-    for n, masks in shards:
-        vertices = _vertex_names(n)
-        pairs = list(combinations(vertices, 2))
-        # each vertex's pairs as a mask: a mask holding none of them leaves that vertex isolated
-        incident = [sum(1 << i for i, pair in enumerate(pairs) if v in pair) for v in vertices]
+    for (vertices, pairs, incident), masks in shards:
         for mask in masks:
+            # a mask holding none of a vertex's pairs leaves that vertex isolated
             if all(mask & pairs_at for pairs_at in incident):
                 graph = Graph(vertices, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
                 if graph.is_connected():
@@ -294,24 +301,27 @@ def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_p
     checked; returns the summary.
 
     ``max_n``, the policies (an iterable of at least one name, not a bare
-    string) and the seed are checked before the file is opened, so bad
-    arguments leave an existing file untouched, and a sweep that stops on
-    an error leaves the lines of every graph before the one that failed.
-    The stream is deterministic for a given (max_n, policies, seed): graphs
-    in enumeration order, checks in a fixed sequence, the K3 probe last.
-    Every shard, from n=2 up, goes through one ``_workers.dealt`` call: a
-    sweep up to ``_PARENT_MAX_N`` vertices runs in this process, a larger
-    one on one forked worker per CPU, and the stream is the same either way.
-    Only counters are kept; the summary counts outcomes and carries the
-    sweep's elapsed time.
+    string, with no name twice) and the seed are checked before the file is
+    opened, so bad arguments leave an existing file untouched, and a sweep
+    that stops on an error leaves the lines of every graph before the one
+    that failed. The stream is deterministic for a given (max_n, policies,
+    seed): graphs in enumeration order, checks in a fixed sequence, the K3
+    probe last. Every shard of ``_SHARD_MASKS`` masks, from n=2 up, goes
+    through one ``_workers.dealt`` call: a sweep up to ``_PARENT_MAX_N``
+    vertices runs in this process, a larger one on one forked worker per
+    CPU, each taking the next shard whenever it is free, and the stream is
+    the same either way. Only counters are kept; the summary counts
+    outcomes and carries the sweep's elapsed time.
     """
     started = time.perf_counter()
     enumerate_connected_graphs(max_n)  # checks max_n
     if isinstance(policies, str):
         raise ValueError(f"policies must be an iterable of names, not the string {policies!r}")
     policies = tuple(policies)  # validated and swept alike, even from an iterator
-    for policy in policies:
+    for index, policy in enumerate(policies):
         _params(policy, seed)
+        if policy in policies[:index]:
+            raise ValueError(f"policy {policy!r} is given twice: its records would share names")
     if not policies:
         raise ValueError("policies must name at least one multiplier policy")
     check = partial(_check_shards, policies=policies, seed=seed)

@@ -6,7 +6,9 @@ import itertools
 import json
 import os
 import pickle
+import signal
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -34,7 +36,7 @@ from iasi import (
     verify_iasi,
 )
 from iasi import catalog, graphs
-from iasi._workers import worker_count
+from iasi._workers import dealt, worker_count
 from iasi.graphs import _breadth_first as breadth_first
 from iasi.construct import _progression_labels
 
@@ -296,6 +298,24 @@ def test_catalog_stream_is_pinned(tmp_path):
     assert digest == "8009e3ecbba9873911d3a5cd1d596293f0344dc669c8080231e4e2a29a7fc505"
 
 
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past two minutes, as a sweep whose dealing
+    deadlocked would, instead of letting it hang the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep ran past its two-minute deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
 def test_catalog_n5_stream_is_pinned(tmp_path):
     path = tmp_path / "records.jsonl"
     run_catalog_checks(5, ("fixed", "random", "maximal"), seed=0, records_path=path)
@@ -353,6 +373,7 @@ def test_lines_are_written_as_each_graph_is_checked(tmp_path, monkeypatch):
     assert path.read_text() == records_jsonl(finished)
 
 
+@pytest.mark.usefixtures("deadline")
 def test_sweep_memory_does_not_grow_with_the_catalog():
     run_catalog_checks(3)  # warm import-time and first-call allocations
 
@@ -376,6 +397,7 @@ def test_sweep_memory_does_not_grow_with_the_catalog():
         {"policies": ("bogus",)},
         {"policies": ()},
         {"policies": "maximal"},
+        {"policies": ("fixed", "random", "fixed")},
     ],
 )
 def test_bad_arguments_leave_records_file_untouched(tmp_path, bad):
@@ -422,6 +444,7 @@ def count_forks(monkeypatch) -> list:
     return forks
 
 
+@pytest.mark.usefixtures("deadline")
 def test_forked_and_serial_sweeps_are_the_same(tmp_path, monkeypatch):
     forks = count_forks(monkeypatch)
     forked = run_catalog_checks(5, POLICIES, seed=0, records_path=tmp_path / "forked.jsonl")
@@ -437,6 +460,63 @@ def test_forked_and_serial_sweeps_are_the_same(tmp_path, monkeypatch):
     # one fork per CPU, all in the default run, so the n<=5 pins cover the forked path
     if cpus >= 2:
         assert len(forks) == cpus
+
+
+@pytest.mark.usefixtures("deadline")
+def test_three_workers_give_the_serial_stream(tmp_path, monkeypatch):
+    # more workers than this machine may have CPUs, each taking shards as it falls free
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forked = run_catalog_checks(5, POLICIES, seed=0, records_path=tmp_path / "forked.jsonl")
+    assert len(forks) == 3
+    one_cpu(monkeypatch)
+    serial = run_catalog_checks(5, POLICIES, seed=0, records_path=tmp_path / "serial.jsonl")
+
+    data = (tmp_path / "forked.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == N5_DIGEST
+    assert (tmp_path / "serial.jsonl").read_bytes() == data
+    del forked["elapsed_s"], serial["elapsed_s"]
+    assert forked == serial
+
+
+def pid_per_shard(shards):
+    """``produce`` for ``dealt``: one item per shard naming the process that
+    made it, with shard 0 made slowly."""
+    for shard in shards:
+        if shard == 0:
+            time.sleep(0.3)
+        yield b"%d" % os.getpid(), [shard]
+
+
+@pytest.mark.usefixtures("deadline")
+def test_a_free_worker_takes_the_next_shard():
+    with dealt(pid_per_shard, range(12), 2) as items:
+        items = list(items)
+    assert [counts for _, counts in items] == [[shard] for shard in range(12)]
+    slow, *rest = [pid for pid, _ in items]
+    # while one worker is held up on shard 0, the other goes on with the shards after it
+    assert sum(pid != slow for pid in rest) >= 9
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_dealing_goes_on_past_the_shards_dealt_ahead():
+    # more shards than the parent deals ahead of shard 0: while it waits for
+    # the slow worker, the other one takes every dealt shard and waits for
+    # more, so the parent must find the next shard's holder by whichever pipe
+    # has a header, not by asking a worker that has none
+    with dealt(pid_per_shard, range(40), 2) as items:
+        assert [counts for _, counts in items] == [[shard] for shard in range(40)]
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("shards", [0, 2])
+def test_dealing_fewer_shards_than_workers(shards):
+    with dealt(pid_per_shard, range(shards), 3) as items:
+        assert [counts for _, counts in items] == [[shard] for shard in range(shards)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_process_with_threads_is_not_forked(monkeypatch):
@@ -463,9 +543,10 @@ def test_a_platform_without_cpu_affinity_is_not_forked(monkeypatch):
     assert forks == []
 
 
-# the 40th 5-vertex graph: in the 8th shard (the 4th of n=5, after one each for
-# n=2 and n=3 and two for n=4), which is the 2nd worker's on 2 CPUs
+# the 40th 5-vertex graph: the first of the 26th shard (the 16th of n=5, after
+# one each for n=2 and n=3 and eight for n=4), which any worker may take
 TARGET = 1 + 4 + 38 + 39
+TARGET_SHARD = 25
 
 
 def break_target(monkeypatch, fail):
@@ -489,6 +570,7 @@ def collision_error():
     return LabelCollisionError(verify_iasi(lg).collision)
 
 
+@pytest.mark.usefixtures("deadline")
 @pytest.mark.parametrize("make_error", [lambda: RuntimeError("stop"), collision_error])
 def test_forked_sweep_stops_at_a_failing_graph(tmp_path, monkeypatch, make_error):
     error = make_error()
@@ -510,6 +592,7 @@ def test_forked_sweep_stops_at_a_failing_graph(tmp_path, monkeypatch, make_error
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("deadline")
 def test_a_worker_that_dies_stops_the_sweep(tmp_path, monkeypatch):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("the sweep forks no worker on one CPU")
@@ -524,6 +607,33 @@ def test_a_worker_that_dies_stops_the_sweep(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError):
         run_catalog_checks(5, records_path=path)
     assert path.read_text() == finished
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_a_worker_that_dies_on_taking_a_shard_stops_the_sweep(tmp_path, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks no worker on one CPU")
+    sweeper = os.getpid()
+    real = catalog._shards
+
+    def shards(vertex_counts):
+        # a worker walks its copy of the shards up to the one it took before
+        # sending that shard's header, so a worker taking TARGET_SHARD or a
+        # later one stops here, with no header sent for it
+        for number, shard in enumerate(real(vertex_counts)):
+            if number == TARGET_SHARD and os.getpid() != sweeper:
+                os._exit(1)
+            yield shard
+
+    monkeypatch.setattr(catalog, "_shards", shards)
+    graphs = list(enumerate_connected_graphs(5))
+    finished = [r for g in graphs[:TARGET] for r in check_one_graph(g, "fixed", 0)]
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(ChildProcessError):
+        run_catalog_checks(5, records_path=path)
+    assert path.read_text() == records_jsonl(finished)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

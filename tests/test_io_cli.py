@@ -708,7 +708,9 @@ def test_cli_catalog_max_n_out_of_range(capsys, argv):
     assert "invalid choice" in err and "2, 3, 4, 5, 6, 7" in err
 
 
-@pytest.mark.parametrize("bad", [["--max-n", "1"], ["--seed", "-1"]])
+@pytest.mark.parametrize(
+    "bad", [["--max-n", "1"], ["--seed", "-1"], ["--policy", "fixed", "--policy", "fixed"]]
+)
 def test_cli_catalog_bad_arguments_leave_records_untouched(tmp_path, capsys, bad):
     records = tmp_path / "records.jsonl"
     records.write_bytes(b"earlier sweep\n")
