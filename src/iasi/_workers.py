@@ -3,17 +3,22 @@
 Every catalog sweep runs its shards through ``dealt``. The parent writes
 shard numbers into one task pipe as 8-byte records, a few shards ahead of
 the one it reads, and whichever worker is free takes the next record. A
-worker sends ``shard <number>`` on its own pipe, then one frame per item
-of that shard: a header line, ``item <size> <count> ...``, then ``size``
-bytes; ``end`` closes each shard, and an error goes as ``error <size>``
-and a pickle of the exception with its traceback text. The parent reads
-shard headers from the workers it has read to the end of a shard until it
-finds the holder of the shard it needs, then that shard's frames; a shard
-that arrives early waits in its worker's pipe. Workers never write to the
-task pipe, so no worker can hold a lock another waits for. Only
-``os.fork``, ``os.pipe`` and ``select`` are used: importing
-``multiprocessing.pool`` alone raises the peak memory of a catalog process
-from about 16.2 to 17.8 MB, more than the sweep needs.
+worker answers on its own pipe in frames: a kind byte and an 8-byte
+number. For a shard frame, sent as soon as the worker takes a shard, the
+number is the shard's; for every other frame it is the size of the
+payload that follows. An item frame's payload is the item's counts on one
+line, then its bytes; an end frame, of no payload, closes the shard; an
+error frame's payload is a pickle of the exception and its traceback
+text. The parent reads each frame exactly, with ``os.read`` on the pipe
+itself, so whatever a worker sent after it stays in the pipe, where
+``select`` sees it, and a frame that ends short is a worker that stopped.
+It reads shard frames from the workers it has read to the end of a shard
+until it finds the holder of the shard it needs, then that shard's
+frames; a shard that arrives early waits in its worker's pipe. Workers
+never write to the task pipe, so no worker can hold a lock another waits
+for. Only ``os.fork``, ``os.pipe`` and ``select`` are used: importing
+``multiprocessing.pool`` alone raises the peak memory of a catalog
+process from about 16.2 to 17.8 MB, more than the sweep needs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ import threading
 from contextlib import contextmanager
 from itertools import count, islice
 
-_RECORD = 8  # bytes of one shard number in the task pipe
+_RECORD = 8  # bytes of one shard number in the task pipe, and of a frame's number
+_HEADER = 1 + _RECORD  # a frame's kind byte and number
+_SHARD, _ITEM, _END, _ERROR = b"s", b"i", b".", b"!"  # frame kinds
+_STOPPED = "a worker stopped before sending all its shards"
 _AHEAD = 8  # shards dealt beyond the one the parent reads, per worker
 
 
@@ -49,8 +57,10 @@ def dealt(produce, shards, workers: int):
     on entry, before the caller writes anything, and each shard goes to
     whichever worker is free when its number comes up, as ``produce([shard])``.
     ``shards`` must not have been started, since every process walks its own
-    copy. A worker that stops without sending a shard it took raises
-    ``ChildProcessError`` where that shard's items were due. Leaving the
+    copy. A worker's error, walking ``shards`` included, is raised where its
+    shard's items were due, with the worker's traceback as its cause; a
+    worker that stops without sending a whole shard it took, a cut frame
+    included, raises ``ChildProcessError`` there instead. Leaving the
     block closes the pipes and reaps every worker, on an error or Ctrl-C
     too; a worker still at work stops at its next write to its closed pipe,
     an idle one at the end of the task pipe.
@@ -66,7 +76,7 @@ def dealt(produce, shards, workers: int):
     try:
         for _ in range(workers):
             read_fd, write_fd = os.pipe()
-            pipes.append(_Pipe(read_fd))
+            pipes.append(read_fd)
             with open(write_fd, "wb") as pipe:
                 pid = os.fork()
                 if pid == 0:
@@ -78,7 +88,7 @@ def dealt(produce, shards, workers: int):
         tasks.close()
         os.close(task_read)
         for pipe in pipes:
-            pipe.close()
+            os.close(pipe)
         for pid in pids:
             os.waitpid(pid, 0)
 
@@ -91,31 +101,33 @@ def _work(produce, shards, tasks, pipe, pipes):
     parent.
     """
 
-    def send(*parts):
-        for part in parts:
+    def send(kind, number, *payload):
+        pipe.write(kind + number.to_bytes(_RECORD, "big"))
+        for part in payload:
             pipe.write(part)
         pipe.flush()
 
     try:
         for other in pipes:
-            other.close()
+            os.close(other)
         try:
             walked = 0
             while record := os.read(tasks, _RECORD):
                 number = int.from_bytes(record, "big")
+                # sent before the walk, so an error in it lands in this shard's place
+                send(_SHARD, number)
                 shard = next(islice(shards, number - walked, None))
                 walked = number + 1
-                send(b"shard %d\n" % number)
                 for data, counts in produce([shard]):
-                    fields = " ".join(map(str, [len(data), *counts]))
-                    send(f"item {fields}\n".encode(), data)
-                send(b"end\n")
+                    line = " ".join(map(str, counts)).encode() + b"\n"
+                    send(_ITEM, len(line) + len(data), line, data)
+                send(_END, 0)
         except Exception as exc:
             import pickle
             import traceback
 
             payload = pickle.dumps((exc, traceback.format_exc()))
-            send(b"error %d\n" % len(payload), payload)
+            send(_ERROR, len(payload), payload)
     finally:
         os._exit(0)
 
@@ -127,7 +139,7 @@ def _in_shard_order(shards, tasks, pipes):
     It closes the task pipe once every shard is dealt, or as soon as a
     worker's pipe ends before the sweep does, so the idle workers leave.
     """
-    # each live worker's shard, from its last header; None once read to its end
+    # each live worker's shard, from its last shard frame; None once read to its end
     held = dict.fromkeys(pipes)
     ahead = _AHEAD * len(pipes)
     sent, total = 0, None
@@ -143,7 +155,7 @@ def _in_shard_order(shards, tasks, pipes):
             return
         pipe = _holder(wanted, held, tasks)
         if pipe is None:
-            raise ChildProcessError("a worker stopped before sending all its shards")
+            raise ChildProcessError(_STOPPED)
         yield from _shard_items(pipe)
         held[pipe] = None
 
@@ -151,9 +163,10 @@ def _in_shard_order(shards, tasks, pipes):
 def _holder(wanted, held, tasks):
     """The pipe of the worker that took shard ``wanted``; None once no live worker holds it.
 
-    Only the workers whose last shard was read to its end send a header
-    next, so only their pipes are waited on. A pipe that ends there is a
-    worker gone: no shard is dealt after it.
+    Only the workers whose last shard was read to its end send a shard
+    frame next, so only their pipes are waited on. A pipe whose next frame
+    is anything else, or ends short, is a worker gone: no shard is dealt
+    after it.
     """
     import select  # like pickle, loaded only by a process that forks
 
@@ -161,10 +174,10 @@ def _holder(wanted, held, tasks):
         free = [pipe for pipe, number in held.items() if number is None]
         if not free:
             return None
-        for pipe in [pipe for pipe in free if pipe.buffer] or select.select(free, [], [])[0]:
-            kind, *fields = pipe.readline().split() or [b"stopped"]
-            if kind == b"shard":
-                held[pipe] = int(fields[0])
+        for pipe in select.select(free, [], [])[0]:
+            kind, number = _header(pipe)
+            if kind == _SHARD:
+                held[pipe] = number
             else:
                 del held[pipe]
                 tasks.close()
@@ -172,55 +185,40 @@ def _holder(wanted, held, tasks):
 
 
 def _shard_items(pipe):
-    """One shard's items from a worker's pipe.
+    """One shard's items from a worker's pipe, up to and with its end frame.
 
     A worker's error is raised in its item's place, after every item
     before it has been yielded.
     """
     while True:
-        kind, *fields = pipe.readline().split() or [b"stopped", b"0"]
-        if kind == b"end":
+        kind, size = _header(pipe)
+        if kind == _END:
             return
-        data = pipe.read(int(fields[0]))
-        if kind == b"error":
+        if kind not in (_ITEM, _ERROR) or len(payload := _read(pipe, size)) < size:
+            raise ChildProcessError(_STOPPED)
+        if kind == _ERROR:
             import pickle
 
-            exc, trace = pickle.loads(data)
+            exc, trace = pickle.loads(payload)
             raise exc from RuntimeError(f"raised in a worker process:\n{trace}")
-        if kind != b"item" or len(data) != int(fields[0]):
-            raise ChildProcessError("a worker stopped before sending all its shards")
-        yield data, list(map(int, fields[1:]))
+        line, data = payload.split(b"\n", 1)
+        yield data, list(map(int, line.split()))
 
 
-class _Pipe:
-    """The parent's end of one worker's pipe, buffered here, where ``select``
-    cannot see: a header already read into ``buffer`` is not waited for."""
+def _header(pipe):
+    """A frame's kind and number; the kind is empty where the pipe ends first."""
+    header = _read(pipe, _HEADER)
+    return header[:1] if len(header) == _HEADER else b"", int.from_bytes(header[1:], "big")
 
-    def __init__(self, fd: int):
-        self.fd = fd
-        self.buffer = bytearray()
 
-    def fileno(self) -> int:
-        return self.fd
+def _read(pipe, size):
+    """``size`` bytes of a worker's pipe, fewer only where it ends first.
 
-    def close(self):
-        os.close(self.fd)
-
-    def _fill(self) -> bool:
-        # a BufferedReader's default read: a larger one raises the sweep's traced peak
-        data = os.read(self.fd, 8192)
-        self.buffer += data
-        return bool(data)
-
-    def read(self, size: int) -> bytes:
-        """``size`` bytes, or fewer where the worker's end closed first."""
-        while len(self.buffer) < size and self._fill():
-            pass
-        data = bytes(self.buffer[:size])
-        del self.buffer[:size]
-        return data
-
-    def readline(self) -> bytes:
-        while (end := self.buffer.find(b"\n") + 1) == 0 and self._fill():
-            pass
-        return self.read(end or len(self.buffer))
+    Plain ``os.read`` calls, never past ``size``: a buffered reader would
+    take in bytes that ``select`` then no longer sees.
+    """
+    parts = []
+    while size and (part := os.read(pipe, size)):
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -35,8 +36,8 @@ from iasi import (
     star_graph,
     verify_iasi,
 )
-from iasi import catalog, graphs
-from iasi._workers import dealt, worker_count
+from iasi import _workers, catalog, graphs
+from iasi._workers import _in_shard_order, dealt, worker_count
 from iasi.graphs import _breadth_first as breadth_first
 from iasi.construct import _progression_labels
 
@@ -519,6 +520,71 @@ def test_dealing_fewer_shards_than_workers(shards):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("deadline")
+def test_an_interrupted_dealing_leaves_no_worker_and_no_open_pipe():
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    # the slow shard goes second: when the first item comes back, the worker
+    # that took the slow one is still in it, and the other has run through
+    # the shards dealt ahead and waits for more
+    with pytest.raises(KeyboardInterrupt):
+        with dealt(pid_per_shard, [1, 0, *range(2, 40)], 2) as items:
+            for _ in items:
+                raise KeyboardInterrupt
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def large_items(shards):
+    """``produce`` for ``dealt``: one item per shard, larger than a pipe buffer."""
+    for shard in shards:
+        yield b"".join(b"%d %d\n" % (shard, line) for line in range(30_000)), [shard]
+
+
+@pytest.mark.usefixtures("deadline")
+def test_an_item_larger_than_a_pipe_buffer_comes_back_whole():
+    expected = list(large_items(range(6)))
+    assert min(len(data) for data, _ in expected) >= 200_000
+    with dealt(large_items, range(6), 2) as items:
+        assert list(items) == expected
+
+
+def read_back(stream: bytes) -> list:
+    """The items the parent reads from one worker that sent ``stream`` for
+    shard 0 and stopped, as ``dealt`` deals one shard to one worker."""
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, stream)
+        os.close(write_fd)
+        return list(_in_shard_order(iter([0]), io.BytesIO(), [read_fd]))
+    finally:
+        os.close(read_fd)
+
+
+def frame(kind: bytes, number: int, payload: bytes = b"") -> bytes:
+    """A worker's frame: its kind byte, its 8-byte number, then its payload."""
+    return kind + number.to_bytes(8, "big") + payload
+
+
+def test_a_cut_frame_is_a_stopped_worker():
+    item = b"2 0 1\n" + b'{"graph": "g"}\n'
+    error = pickle.dumps((RuntimeError("stop"), "Traceback: in fail\n"))
+    shard = frame(_workers._SHARD, 0)
+    sent = shard + frame(_workers._ITEM, len(item), item) + frame(_workers._END, 0)
+    failed = shard + frame(_workers._ERROR, len(error), error)
+
+    assert read_back(sent) == [(b'{"graph": "g"}\n', [2, 0, 1])]
+    with pytest.raises(RuntimeError, match="stop") as raised:
+        read_back(failed)
+    assert "in fail" in str(raised.value.__cause__)
+    # every frame of both streams cut at every byte, the empty stream included
+    for stream in sent, failed:
+        for cut in range(len(stream)):
+            with pytest.raises(ChildProcessError, match="a worker stopped"):
+                read_back(stream[:cut])
+
+
 def test_a_process_with_threads_is_not_forked(monkeypatch):
     # a lock another thread holds at a fork would stay held in the child
     forks = count_forks(monkeypatch)
@@ -619,9 +685,9 @@ def test_a_worker_that_dies_on_taking_a_shard_stops_the_sweep(tmp_path, monkeypa
     real = catalog._shards
 
     def shards(vertex_counts):
-        # a worker walks its copy of the shards up to the one it took before
-        # sending that shard's header, so a worker taking TARGET_SHARD or a
-        # later one stops here, with no header sent for it
+        # a worker sends the frame of the shard it took, then walks its copy
+        # of the shards up to it, so a worker taking TARGET_SHARD or a later
+        # one stops here, with that frame sent and nothing after it
         for number, shard in enumerate(real(vertex_counts)):
             if number == TARGET_SHARD and os.getpid() != sweeper:
                 os._exit(1)
@@ -634,6 +700,64 @@ def test_a_worker_that_dies_on_taking_a_shard_stops_the_sweep(tmp_path, monkeypa
     with pytest.raises(ChildProcessError):
         run_catalog_checks(5, records_path=path)
     assert path.read_text() == records_jsonl(finished)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def lines_before_target() -> str:
+    """The JSONL lines of every graph before TARGET, as a sweep that stops there leaves them."""
+    graphs = list(enumerate_connected_graphs(5))
+    return records_jsonl([r for g in graphs[:TARGET] for r in check_one_graph(g, "fixed", 0)])
+
+
+@pytest.mark.usefixtures("deadline")
+def test_an_error_walking_to_a_shard_is_raised_in_its_place(tmp_path, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks no worker on one CPU")
+    sweeper = os.getpid()
+    real = catalog._shards
+
+    def shards(vertex_counts):
+        # raised in a worker walking to TARGET_SHARD or a later one, after
+        # it sent the frame of the shard it took, as a serial sweep raises it
+        for number, shard in enumerate(real(vertex_counts)):
+            if number == TARGET_SHARD and os.getpid() != sweeper:
+                raise RuntimeError("stop walking")
+            yield shard
+
+    monkeypatch.setattr(catalog, "_shards", shards)
+    finished = lines_before_target()
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(RuntimeError, match="stop walking") as raised:
+        run_catalog_checks(5, records_path=path)
+    assert "raised in a worker process" in str(raised.value.__cause__)
+    assert path.read_text() == finished
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("deadline")
+def test_a_worker_that_dies_on_reading_a_task_stops_the_sweep(tmp_path, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep forks no worker on one CPU")
+    sweeper = os.getpid()
+    real = os.read
+    record = TARGET_SHARD.to_bytes(8, "big")
+
+    def read(fd, size):
+        data = real(fd, size)
+        # a worker reads only 8-byte task records: this one took
+        # TARGET_SHARD and stops before sending any frame for it
+        if data == record and os.getpid() != sweeper:
+            os._exit(1)
+        return data
+
+    monkeypatch.setattr(os, "read", read)
+    finished = lines_before_target()
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(ChildProcessError):
+        run_catalog_checks(5, records_path=path)
+    assert path.read_text() == finished
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
