@@ -108,6 +108,8 @@ def _connected_graphs(shards) -> Iterator[Graph]:
 
 # json.dumps with these settings, without building an encoder per record
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the string quoting that _encode (and json.dumps) applies
+_quoted = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,11 @@ class CheckRecord:
     wall_time_ms: float = 0.0
 
     def json_line(self) -> str:
-        payload = {
-            "graph": self.graph_id,
-            "check": self.check,
-            "outcome": self.outcome,
-            "witness": self.witness,
-        }
-        return _encode(payload)
+        """``_encode`` of the record's payload, its keys already in sorted order."""
+        return (
+            f'{{"check":{_quoted(self.check)},"graph":{_quoted(self.graph_id)},'
+            f'"outcome":{_quoted(self.outcome)},"witness":{_encode(self.witness)}}}'
+        )
 
 
 def records_jsonl(records) -> str:

@@ -78,9 +78,16 @@ class InjectivityReport:
     collision: Collision | None
 
 
-def _first_collision(items, kind):
+def _first_collision(labels: dict, kind):
+    """The first repeated label of ``labels`` in its (canonical) order, or None.
+
+    One hash pass over the labels settles the common case, no repeat; only
+    a repeat walks them again, in order, for the first collision.
+    """
+    if len(set(labels.values())) == len(labels):
+        return None
     seen = {}
-    for name, label in items:
+    for name, label in labels.items():
         if label in seen:
             return Collision(kind, seen[label], name, tuple(label))
         seen[label] = name
@@ -105,9 +112,9 @@ def _verified(lg: LabeledGraph) -> LabeledGraph:
 
 
 def _verify(lg: LabeledGraph) -> InjectivityReport:
-    collision = _first_collision(lg.vertex_labels.items(), "vertex")
+    collision = _first_collision(lg.vertex_labels, "vertex")
     if collision is None:
-        collision = _first_collision(lg.edge_labels.items(), "edge")
+        collision = _first_collision(lg.edge_labels, "edge")
     return InjectivityReport(is_iasi=collision is None, collision=collision)
 
 
@@ -168,12 +175,6 @@ class ClassificationReport:
     sub_minimal_vertices: tuple
 
 
-def _sub_minimal(lg: LabeledGraph) -> tuple:
-    return tuple(
-        v for v, s in lg.vertex_labels.items() if len(s) < MIN_ARITHMETIC_LENGTH
-    )
-
-
 def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
     """The classification report, computed once per labeled graph."""
     return lg._fact(_classify)
@@ -181,13 +182,16 @@ def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
 
 def _classify(lg: LabeledGraph) -> ClassificationReport:
     injectivity = verify_iasi(lg)
-    edge_sizes = {len(s) for s in lg.edge_labels.values()}
-    vertex_sizes = {len(s) for s in lg.vertex_labels.values()}
-    vertex_arithmetic = all(
-        type(s) is APSet and len(s) >= MIN_ARITHMETIC_LENGTH for s in lg.vertex_labels.values()
-    )
-    non_ap_edges = _non_progression_edges(lg)
-    edge_arithmetic = not non_ap_edges
+    vertex_labels, edge_labels = lg.vertex_labels.values(), lg.edge_labels.values()
+    edge_sizes, vertex_sizes = set(map(len, edge_labels)), set(map(len, vertex_labels))
+    sub_minimal = ()
+    if min(vertex_sizes) < MIN_ARITHMETIC_LENGTH:
+        sub_minimal = tuple(
+            v for v, s in lg.vertex_labels.items() if len(s) < MIN_ARITHMETIC_LENGTH
+        )
+    vertex_arithmetic = not sub_minimal and set(map(type, vertex_labels)) == {APSet}
+    edge_types = set(map(type, edge_labels))  # APSet exactly for a progression
+    edge_arithmetic = edge_types == {APSet}
     return ClassificationReport(
         is_iasi=injectivity.is_iasi,
         collision=injectivity.collision,
@@ -197,8 +201,8 @@ def _classify(lg: LabeledGraph) -> ClassificationReport:
         edge_arithmetic=edge_arithmetic,
         arithmetic=vertex_arithmetic and edge_arithmetic,
         semi_arithmetic=vertex_arithmetic and not edge_arithmetic,
-        strict_semi_arithmetic=vertex_arithmetic and len(non_ap_edges) == len(lg.edge_labels),
-        sub_minimal_vertices=_sub_minimal(lg),
+        strict_semi_arithmetic=vertex_arithmetic and APSet not in edge_types,
+        sub_minimal_vertices=sub_minimal,
     )
 
 

@@ -125,12 +125,14 @@ class _Facts:
         Each ``compute`` keeps its result for the last arguments asked for:
         other arguments recompute and replace it. Unhashable arguments (a
         list edge) could change in place, so their result is not kept, nor
-        that of a ``compute`` that raises.
+        that of a ``compute`` that raises. Most facts take no argument, and
+        their lookup hashes nothing but ``compute``.
         """
-        try:
-            hash(args)
-        except TypeError:
-            return compute(self, *args)
+        if args:
+            try:
+                hash(args)
+            except TypeError:
+                return compute(self, *args)
         entry = self._cache.get(compute)
         if entry is None or entry[0] != args:
             entry = self._cache[compute] = (args, compute(self, *args))
@@ -254,7 +256,10 @@ class LabeledGraph(_Facts):
     labeling need not be injective -- deciding that is the verifier's job.
     Labels given for names that are not vertices of the graph are ignored.
     ``vertex_labels`` and ``edge_labels`` are filled in the graph's canonical
-    vertex and edge order, so iterating them needs no re-sort. Facts derived
+    vertex and edge order, so iterating them needs no re-sort, and
+    ``edge_labels`` is keyed by the tuples of ``graph.edges`` themselves,
+    so a label costs no new key. A label given as an ``IntegerSet`` is kept
+    as it is; any other is checked by that constructor. Facts derived
     from the labels (the injectivity report, the classification report) are
     computed on first use by ``_fact`` and kept in ``_cache``.
     """
@@ -266,15 +271,14 @@ class LabeledGraph(_Facts):
         for v in graph.vertices:
             if v not in vertex_labels:
                 raise InvalidLabelingError(f"no label for vertex {v!r}")
-            label = IntegerSet(vertex_labels[v])
+            label = vertex_labels[v]
+            label = label if isinstance(label, IntegerSet) else IntegerSet(label)
             if not label:
                 raise InvalidLabelingError(f"empty label for vertex {v!r}")
             labels[v] = label
         self.graph = graph
         self.vertex_labels = labels
-        self.edge_labels = {
-            (u, v): sumset(labels[u], labels[v]) for u, v in graph.edges
-        }
+        self.edge_labels = {e: sumset(labels[e[0]], labels[e[1]]) for e in graph.edges}
         self._cache = {}
 
     def __eq__(self, other):

@@ -132,30 +132,33 @@ def sumset(a, b) -> IntegerSet:
 
     |A+B| is at least max(|A|, |B|) and at most |A|*|B|. When A and B are
     progressions with differences d and k*d, 1 <= k <= |A|, A+B is the
-    progression with difference d that starts at min A + min B and has
-    |A| + k(|B|-1) terms, and it is built in that closed form; a singleton
+    progression with difference d from min A + min B to max A + max B
+    (|A| + k(|B|-1) terms), and it is built in that closed form; a singleton
     operand shifts the other one. Every other sumset is summed exactly.
     """
-    # checked sets skip the constructor call: this runs once per edge
-    a = a if isinstance(a, IntegerSet) else IntegerSet(a)
-    b = b if isinstance(b, IntegerSet) else IntegerSet(b)
-    if not a or not b:
-        raise ValueError("sumset requires nonempty operands")
-    if a[-1] + b[-1] > U64_MAX:
+    # this runs once per edge: two progressions are checked nonempty sets,
+    # and any other checked set skips the constructor call
+    ta, tb = type(a), type(b)
+    if ta is not APSet or tb is not APSet:
+        a = a if isinstance(a, IntegerSet) else IntegerSet(a)
+        b = b if isinstance(b, IntegerSet) else IntegerSet(b)
+        if not a or not b:
+            raise ValueError("sumset requires nonempty operands")
+        ta, tb = type(a), type(b)
+    top = a[-1] + b[-1]
+    if top > U64_MAX:
         raise LabelOverflowError(
             f"maximum sum {a[-1]} + {b[-1]} exceeds the 64-bit range"
         )
     if len(a) == 1 or len(b) == 1:
         point, other = (a, b) if len(a) == 1 else (b, a)
         return tuple.__new__(type(other), [point[0] + x for x in other])
-    if type(a) is APSet and type(b) is APSet:
+    if ta is APSet and tb is APSet:
         if b[1] - b[0] < a[1] - a[0]:
             a, b = b, a
-        d, high = a[1] - a[0], b[1] - b[0]
-        if _bounded_multiple(d, high, len(a)):
-            first = a[0] + b[0]
-            length = _edge_cardinality(len(a), len(b), high // d)
-            return tuple.__new__(APSet, range(first, first + length * d, d))
+        d = a[1] - a[0]
+        if _bounded_multiple(d, b[1] - b[0], len(a)):
+            return tuple.__new__(APSet, range(a[0] + b[0], top + 1, d))
     return _unchecked(x + y for x in a for y in b)
 
 
@@ -186,11 +189,6 @@ def predicted_edge_cardinality(m: int, n: int, k: int) -> int:
         raise ValueError(f"cardinalities must be positive, got m={m}, n={n}")
     if not 1 <= k <= m:
         raise ValueError(f"multiplier k={k} outside [1, m={m}]")
-    return _edge_cardinality(m, n, k)
-
-
-def _edge_cardinality(m: int, n: int, k: int) -> int:
-    """|A+B| for progressions of m and n terms with differences d and k*d, 1 <= k <= m."""
     return m + k * (n - 1)
 
 
