@@ -250,6 +250,11 @@ def _indices(labels: dict, kind: str) -> dict:
     return indices
 
 
+def _vertex_indices(lg: LabeledGraph) -> dict:
+    """Each vertex label's difference, read once per labeled graph."""
+    return _indices(lg.vertex_labels, "vertex")
+
+
 def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
     """Check every edge's difference ratio against its cardinality bound.
 
@@ -258,7 +263,7 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
     1 <= k <= |label of the d_low endpoint|. Requires every vertex label to
     have a deterministic index.
     """
-    diffs = _indices(lg.vertex_labels, "vertex")
+    diffs = lg._fact(_vertex_indices)
     violations = []
     for u, v in lg.graph.edges:
         low_vertex, high_vertex = (u, v) if diffs[u] <= diffs[v] else (v, u)
@@ -289,7 +294,7 @@ def check_gcd_invariant(lg: LabeledGraph) -> GcdReport:
     """
     if not lg.graph.is_connected():
         raise DisconnectedGraphError("gcd invariant needs a connected graph")
-    vertex_diffs = _indices(lg.vertex_labels, "vertex").values()
+    vertex_diffs = lg._fact(_vertex_indices).values()
     edge_diffs = _indices(lg.edge_labels, "edge").values()
     vg = math.gcd(*vertex_diffs)
     eg = math.gcd(*edge_diffs)

@@ -34,6 +34,7 @@ from iasi import (
     verify_iasi,
 )
 from iasi.transforms import contract_edge
+from reference import brute_sumset, is_progression
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, budget: float, detail: str = ""):
@@ -42,12 +43,6 @@ def _report(num: int, name: str, ok: bool, elapsed: float, budget: float, detail
     print(f"[criterion {num}] {name}: {status} ({elapsed:.2f}s, budget {budget:.0f}s){suffix}")
     assert ok, f"criterion {num} violated{suffix}"
     assert elapsed < budget, f"criterion {num} overran: {elapsed:.2f}s >= {budget:.0f}s"
-
-
-def _is_progression(elements) -> bool:
-    """Brute force: nonempty, and every gap between sorted neighbours is the same."""
-    s = sorted(elements)
-    return bool(s) and len({y - x for x, y in zip(s, s[1:])}) <= 1
 
 
 def _random_set(rng: random.Random, max_size=8, bound=100):
@@ -65,7 +60,7 @@ def test_criterion_1_sumset_class_count_identity():
     for _ in range(10_000):
         a, b = _random_set(rng), _random_set(rng)
         classes = Counter(x + y for x in a for y in b)
-        brute = len({x + y for x in a for y in b})
+        brute = len(brute_sumset(a, b))
         if not (
             len(sumset(a, b)) == len(classes) == brute
             and max(classes.values()) <= min(len(a), len(b))
@@ -88,10 +83,10 @@ def test_criterion_2_bounded_multiple_formula():
         ai, aj = rng.randrange(50), rng.randrange(50)
         a = frozenset(ai + t * d for t in range(m))
         b = frozenset(aj + t * k * d for t in range(n))
-        merged = sorted({x + y for x in a for y in b})
+        merged = brute_sumset(a, b)
         if not (
             len(merged) == m + k * (n - 1) == predicted_edge_cardinality(m, n, k)
-            and _is_progression(merged)
+            and is_progression(merged)
             and merged[1] - merged[0] == d
         ):
             bad += 1
@@ -117,15 +112,15 @@ def test_criterion_3_progression_breaking_negatives():
             dj = rng.choice([x for x in range(di + 1, 4 * di) if x % di])
         a = frozenset(ai + t * di for t in range(m))
         b = frozenset(aj + t * dj for t in range(n))
-        if _is_progression({x + y for x in a for y in b}):
+        if is_progression(brute_sumset(a, b)):
             counterexamples.append((sorted(a), sorted(b)))
     for a, b in counterexamples:
         print(f"[criterion 3] DISCREPANCY: {a} + {b} is a progression")
 
     # the claim read literally also admits a smaller non-multiple difference;
     # that corner is a genuine counterexample, so report it and move on
-    literal = sorted({x + y for x in (0, 2, 4) for y in (0, 1, 2)})
-    if _is_progression(literal):
+    literal = brute_sumset((0, 2, 4), (0, 1, 2))
+    if is_progression(literal):
         print(
             "[criterion 3] note: literal corner d_i=2, d_j=1 merges to a "
             f"progression with difference {literal[1] - literal[0]} (reported, not counted)"

@@ -31,6 +31,7 @@ from iasi import (
     verify_iasi,
 )
 from iasi.sets import _difference
+from reference import brute_sumset, is_progression
 
 
 def p2(a, b):
@@ -123,7 +124,7 @@ def test_strong_edge_law(data):
     cls = classify_edges(p2(*ends))[("u", "v")]
     assert cls.strong == (k == m)
     assert not cls.weak
-    assert cls.indexing_number == len({a + b for a in low for b in high})
+    assert cls.indexing_number == len(brute_sumset(low, high))
 
 
 def test_singleton_rule_exhaustive_small():
@@ -270,7 +271,7 @@ def test_multiplier_agrees_with_edge_ap():
     for a, b, expect in cases:
         lg = p2(a, b)
         assert check_multiplier_condition(lg).ok is expect
-        assert _is_progression({x + y for x in a for y in b}) is expect
+        assert is_progression(brute_sumset(a, b)) is expect
 
 
 # ------------------------------------------------------------ gcd invariant
@@ -372,6 +373,37 @@ def test_label_facts_computed_once_per_labeled_graph(monkeypatch):
     assert len(scans) == 2
 
 
+def test_vertex_differences_read_once_per_labeled_graph(monkeypatch):
+    reads = []
+    real = classify_module._indices
+
+    def counting(labels, kind):
+        reads.append(kind)
+        return real(labels, kind)
+
+    monkeypatch.setattr(classify_module, "_indices", counting)
+    lg = construct_arbitrary(
+        cycle_graph(5), ConstructionParams(multiplier_policy="maximal", seed=3)
+    ).labeled_graph
+    assert check_multiplier_condition(lg).ok
+    assert check_gcd_invariant(lg).ok
+    assert check_multiplier_condition(lg).ok
+    assert reads.count("vertex") == 1
+
+    # a read that raises caches nothing: each call raises the same error
+    bad = p2({0, 1, 3}, {0, 2, 4})
+    messages = []
+    for check in (check_multiplier_condition, check_gcd_invariant):
+        with pytest.raises(NotArithmeticError) as raised:
+            check(bad)
+        messages.append(str(raised.value))
+    assert messages == [
+        "vertex 'u' has no deterministic index: label {0, 1, 3} is not a "
+        "progression of two or more elements"
+    ] * 2
+    assert reads.count("vertex") == 3
+
+
 def test_classification_never_builds_edge_grades(monkeypatch):
     def refuse(lg):
         raise AssertionError("classify_edges called")
@@ -405,12 +437,6 @@ def test_cached_reports_match_fresh_graph_for_both_readings():
     assert classify_arithmetic(fresh) == report
 
 
-def _is_progression(label) -> bool:
-    """Brute force: a singleton, or the range from min to max by its first gap."""
-    s = sorted(label)
-    return len(s) == 1 or s == list(range(s[0], s[-1] + 1, s[1] - s[0]))
-
-
 _progressions = st.builds(
     lambda first, d, length: set(range(first, first + d * length, d)),
     st.integers(0, 40), st.integers(1, 6), st.integers(1, 5),
@@ -423,7 +449,7 @@ def test_both_semi_readings_match_brute_force(labels, triangle):
     edges = [("u", "v"), ("v", "w")] + ([("u", "w")] if triangle else [])
     lg = LabeledGraph(Graph(["u", "v", "w"], edges), dict(zip("uvw", labels)))
     vertex_arithmetic = all(len(s) >= 3 for s in labels)
-    progression_edges = [_is_progression(label) for label in lg.edge_labels.values()]
+    progression_edges = [is_progression(label) for label in lg.edge_labels.values()]
 
     runs = []
     real = classify_module._classify

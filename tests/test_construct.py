@@ -14,7 +14,6 @@ from iasi import (
     LabeledGraph,
     check_gcd_invariant,
     check_multiplier_condition,
-    classify_arithmetic,
     complete_graph,
     construct_arbitrary,
     construct_complete,
@@ -28,13 +27,7 @@ from iasi import (
     verify_iasi,
 )
 from iasi.construct import _progression_labels
-
-
-def assert_arithmetic(lg):
-    report = classify_arithmetic(lg)
-    assert report.is_iasi, report.collision
-    assert report.arithmetic
-    return report
+from reference import assert_arithmetic, brute_sumset, is_progression
 
 
 # -------------------------------------------------------------- parameters
@@ -422,12 +415,6 @@ def test_complete_per_vertex_sizes():
 BAND_BOX = (1, 2, 3, 4, 6, 8, 12, 16)
 
 
-def sumset_is_progression(a, b):
-    """Brute force: every pair sum, sorted, has one gap."""
-    sums = sorted({x + y for x in a for y in b})
-    return len({y - x for x, y in zip(sums, sums[1:])}) == 1
-
-
 def band_law_cases():
     """(differences, sizes) on K3-K5: uniform sizes 3..8, then mixed sizes."""
     for n, size_choices in [(3, None), (4, None), (5, None), (3, (3, 4, 5)), (4, (3, 4))]:
@@ -452,7 +439,7 @@ def test_complete_band_law():
             vertices, dict(zip(vertices, differences)), dict(zip(vertices, sizes))
         )
         arithmetic = all(
-            sumset_is_progression(layout[u], layout[v])
+            is_progression(brute_sumset(layout[u], layout[v]))
             for u, v in itertools.combinations(vertices, 2)
         )
         try:

@@ -27,15 +27,7 @@ from iasi import (
     verify_iasi,
 )
 from iasi import sets as sets_module
-
-
-def brute_sumset(a, b):
-    return sorted({x + y for x in a for y in b})
-
-
-def is_progression(elements) -> bool:
-    s = sorted(elements)
-    return len({y - x for x, y in zip(s, s[1:])}) <= 1
+from reference import brute_sumset, is_progression
 
 
 # ------------------------------------------------ sumset at the 64-bit boundary

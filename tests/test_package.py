@@ -77,6 +77,24 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_only_the_reference_module_defines_brute_force_references():
+    """One copy of each shared brute-force reference, none under an old name."""
+    old = {"_is_progression", "sumset_is_progression"}
+    shared = {"assert_arithmetic", "brute_sumset", "is_progression"}
+    defined = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            else:
+                continue
+            if name in shared | old:
+                defined.append((path.name, name))
+    assert sorted(defined) == [("reference.py", name) for name in sorted(shared)]
+
+
 def test_readme_quick_start_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)

@@ -1,7 +1,7 @@
 """Sumset arithmetic, compatibility classes, progression detection.
 
-The brute-force oracles here are deliberately independent of the library
-internals: plain nested loops and set literals, so a bug in the package
+The brute-force oracles, ``reference``'s and the set literals here, are
+deliberately independent of the library internals, so a bug in the package
 cannot hide in the expectations.
 """
 
@@ -24,20 +24,7 @@ from iasi import (
 )
 from iasi import sets as sets_module
 from iasi.sets import _bounded_multiple
-
-
-def brute_sumset(a, b):
-    out = set()
-    for x in a:
-        for y in b:
-            out.add(x + y)
-    return sorted(out)
-
-
-def _is_progression(elements) -> bool:
-    """Brute force: nonempty, and every gap between sorted neighbours is the same."""
-    s = sorted(elements)
-    return bool(s) and len({y - x for x, y in zip(s, s[1:])}) <= 1
+from reference import brute_sumset, is_progression
 
 
 small_sets = st.sets(st.integers(min_value=0, max_value=200), min_size=1, max_size=8)
@@ -223,7 +210,7 @@ def test_detect_ap_matches_brute_force(s):
     ap = detect_ap(s)
     if len(s) == 1:
         assert ap == APSet(s[0], None, 1)
-    elif set(range(s[0], s[-1] + 1, s[1] - s[0])) == set(s):
+    elif is_progression(s):
         assert ap == APSet(s[0], s[1] - s[0], len(s))
     else:
         assert ap is None
@@ -251,7 +238,7 @@ def test_equal_difference_sumset_is_ap(a, b, d, m, n):
     s = brute_sumset(A, B)
     assert len(s) == m + n - 1
     if len(s) > 1:
-        assert _is_progression(s) and s[1] - s[0] == d
+        assert is_progression(s) and s[1] - s[0] == d
 
 
 @given(
@@ -265,8 +252,8 @@ def test_bounded_multiple_difference_sumset(a, b, d, m, n, data):
     B = APSet(b, k * d, n)
     s = brute_sumset(A, B)
     assert len(s) == predicted_edge_cardinality(m, n, k) == m + k * (n - 1)
-    assert _is_progression(s) and s[1] - s[0] == d
-    assert _bounded_multiple(d, k * d, m) == _is_progression(s)
+    assert is_progression(s) and s[1] - s[0] == d
+    assert _bounded_multiple(d, k * d, m) == is_progression(s)
 
 
 @given(
@@ -278,8 +265,8 @@ def test_excessive_multiplier_breaks_ap(a, b, d, m, n, data):
     k = data.draw(st.integers(m + 1, m + 6), label="k")
     A = APSet(a, d, m)
     B = APSet(b, k * d, n)
-    assert not _is_progression(brute_sumset(A, B))
-    assert _bounded_multiple(d, k * d, m) == _is_progression(brute_sumset(A, B))
+    assert not is_progression(brute_sumset(A, B))
+    assert _bounded_multiple(d, k * d, m) == is_progression(brute_sumset(A, B))
 
 
 @given(
@@ -292,8 +279,8 @@ def test_non_multiple_difference_breaks_ap(a, b, di, dj, m, n):
     assume(dj > di and dj % di != 0)
     A = APSet(a, di, m)
     B = APSet(b, dj, n)
-    assert not _is_progression(brute_sumset(A, B))
-    assert _bounded_multiple(di, dj, m) == _is_progression(brute_sumset(A, B))
+    assert not is_progression(brute_sumset(A, B))
+    assert _bounded_multiple(di, dj, m) == is_progression(brute_sumset(A, B))
 
 
 @given(
@@ -344,10 +331,10 @@ def test_closed_form_sumset_matches_brute_force(pair):
         s = sumset(a, b)
     expected = brute_sumset(A, B)
     assert list(s) == expected
-    assert (type(s) is APSet) == _is_progression(expected)
+    assert (type(s) is APSet) == is_progression(expected)
     # two progressions sum to one exactly when the lemma applies, and only
     # the other pairs are summed element by element
-    assert exact.called == (not _is_progression(expected))
+    assert exact.called == (not is_progression(expected))
 
 
 _HALF = U64_MAX // 2 + 1  # _HALF + _HALF == U64_MAX + 1
@@ -372,7 +359,7 @@ def test_sumset_overflow_on_every_path(a, b):
 @given(st.one_of(small_sets, progression_sets))
 def test_label_type_marks_progressions_at_every_constructor(s):
     label = IntegerSet(s)
-    expected = _is_progression(s)
+    expected = is_progression(s)
     assert (type(label) is APSet) == expected
     assert IntegerSet(label) is label
     assert repr(label) == "IntegerSet({%s})" % ", ".join(str(e) for e in sorted(s))
@@ -396,7 +383,7 @@ def test_label_type_marks_progressions_at_every_constructor(s):
 @given(small_sets, st.one_of(small_sets, progression_sets))
 def test_sumset_fallback_types_its_result(a, b):
     s = sumset(a, b)
-    assert (type(s) is APSet) == _is_progression(brute_sumset(a, b))
+    assert (type(s) is APSet) == is_progression(brute_sumset(a, b))
 
 
 def test_empty_set_is_not_a_progression():
