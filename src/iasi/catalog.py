@@ -106,10 +106,31 @@ def _connected_graphs(shards) -> Iterator[Graph]:
                     yield graph
 
 
-# json.dumps with these settings, without building an encoder per record
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # the string quoting that _encode (and json.dumps) applies
 _quoted = json.encoder.encode_basestring_ascii
+
+
+def _witness_encoder(make_c_encoder):
+    """``json.dumps(sort_keys=True, separators=(",", ":"))`` as one encoder, built
+    once: JSONEncoder.encode builds a new one on every call.
+
+    ``make_c_encoder`` is ``json.encoder.c_make_encoder``, None where there is no
+    C accelerator; then it is the pure-Python path json.dumps would take.
+    Witnesses are the library's own acyclic dicts, so no circular-reference
+    markers are kept.
+    """
+    if make_c_encoder is None:
+        chunks = json.JSONEncoder(
+            sort_keys=True, separators=(",", ":"), check_circular=False
+        ).iterencode
+    else:
+        chunks = make_c_encoder(
+            None, json.JSONEncoder().default, _quoted, None, ":", ",", True, False, True
+        )
+    return lambda witness: "".join(chunks(witness, 0))
+
+
+_encode = _witness_encoder(json.encoder.c_make_encoder)
 
 
 @dataclass(frozen=True)

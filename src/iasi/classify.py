@@ -236,7 +236,8 @@ def _indices(labels: dict, kind: str) -> dict:
     """Each label's common difference (deterministic index).
 
     A label has one exactly when it is a progression of two or more
-    elements; otherwise NotArithmeticError names the first label without one.
+    elements: an APSet that is not a singleton, whose difference slot is
+    read. Otherwise NotArithmeticError names the first label without one.
     """
     indices = {}
     for x, label in labels.items():
@@ -268,7 +269,7 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
     for u, v in lg.graph.edges:
         low_vertex, high_vertex = (u, v) if diffs[u] <= diffs[v] else (v, u)
         low, high = diffs[low_vertex], diffs[high_vertex]
-        bound = len(lg.vertex_labels[low_vertex])
+        bound = lg.vertex_labels[low_vertex].length  # every label an APSet, by _indices
         if not _bounded_multiple(low, high, bound):
             k, rest = divmod(high, low)
             violations.append(MultiplierViolation((u, v), low, high, None if rest else k, bound))

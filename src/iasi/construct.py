@@ -133,27 +133,27 @@ class ConstructionResult:
         return self.fallback_vertex is not None
 
 
-def _progression_labels(order, differences: dict, sizes: dict) -> dict:
+def _progression_labels(order, differences: dict, sizes: dict, offsets: list) -> dict:
     """Vertex v's label: ``sizes[v]`` terms with difference ``differences[v]``.
 
-    The i-th vertex of ``order`` starts at the i-th distinct-sum term times a
-    stride wider than twice the largest label span, which keeps every vertex
-    label and every edge label distinct. This is the one layout every
-    constructor uses.
+    The i-th vertex of ``order`` starts at ``offsets[i]``, the i-th term of
+    ``distinct_sum_sequence(len(order))``, times a stride wider than twice
+    the largest label span, which keeps every vertex label and every edge
+    label distinct. This is the one layout every constructor uses.
     """
     stride = 2 * max((sizes[v] - 1) * differences[v] for v in order) + 1
-    firsts = distinct_sum_sequence(len(order))
-    return {v: APSet(f * stride, differences[v], sizes[v]) for v, f in zip(order, firsts)}
+    return {v: APSet(f * stride, differences[v], sizes[v]) for v, f in zip(order, offsets)}
 
 
-def _difference_budget(count: int, max_size: int) -> int:
+def _difference_budget(largest_offset: int, max_size: int) -> int:
     """The largest common difference that keeps every label element <= U64_MAX.
 
     Every element of a vertex or edge label lies below (2F + 1) * stride,
-    where F is the largest of the ``count`` distinct-sum terms and
-    stride = 2 * max span + 1, a span being at most (max_size - 1) * difference.
+    where F is ``largest_offset``, the largest distinct-sum term of the
+    layout, and stride = 2 * max span + 1, a span being at most
+    (max_size - 1) * difference.
     """
-    widest_stride = (U64_MAX + 1) // (2 * distinct_sum_sequence(count)[-1] + 1)
+    widest_stride = (U64_MAX + 1) // (2 * largest_offset + 1)
     return (widest_stride - 1) // 2 // (max_size - 1)
 
 
@@ -194,7 +194,8 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
 
     lo, hi = params.label_size_range
     sizes = {v: (lo if lo == hi else rng.randint(lo, hi)) for v in order}
-    budget = _difference_budget(len(order), max(sizes.values()))
+    offsets = distinct_sum_sequence(len(order))
+    budget = _difference_budget(offsets[-1], max(sizes.values()))
 
     differences: dict = {}
     capped = []
@@ -224,7 +225,7 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
         differences = {v: params.base_difference for v in order}
         capped = []
 
-    labels = _progression_labels(order, differences, sizes)
+    labels = _progression_labels(order, differences, sizes, offsets)
     return ConstructionResult(LabeledGraph(graph, labels), fallback_vertex, tuple(capped))
 
 
@@ -251,7 +252,10 @@ def construct_complete(differences, sizes=3) -> LabeledGraph:
         raise ValueError(f"label sizes must all be integers >= {MIN_ARITHMETIC_LENGTH}")
 
     labels = _progression_labels(
-        vertices, dict(zip(vertices, differences)), dict(zip(vertices, sizes))
+        vertices,
+        dict(zip(vertices, differences)),
+        dict(zip(vertices, sizes)),
+        distinct_sum_sequence(len(vertices)),
     )
     lg = LabeledGraph(graph, labels)
     report = check_multiplier_condition(lg)

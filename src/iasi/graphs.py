@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 from .errors import GraphValidationError, InvalidLabelingError
-from .sets import IntegerSet, sumset
+from .sets import APSet, IntegerSet, sumset
 
 __all__ = [
     "GraphViolation",
@@ -258,10 +258,11 @@ class LabeledGraph(_Facts):
     ``vertex_labels`` and ``edge_labels`` are filled in the graph's canonical
     vertex and edge order, so iterating them needs no re-sort, and
     ``edge_labels`` is keyed by the tuples of ``graph.edges`` themselves,
-    so a label costs no new key. A label given as an ``IntegerSet`` is kept
-    as it is; any other is checked by that constructor. Facts derived
-    from the labels (the injectivity report, the classification report) are
-    computed on first use by ``_fact`` and kept in ``_cache``.
+    so a label costs no new key. A label given as an ``IntegerSet`` or an
+    ``APSet`` is kept as it is; any other is checked by the ``IntegerSet``
+    constructor. Facts derived from the labels (the injectivity report, the
+    classification report) are computed on first use by ``_fact`` and kept
+    in ``_cache``.
     """
 
     __slots__ = ("graph", "vertex_labels", "edge_labels")
@@ -272,9 +273,10 @@ class LabeledGraph(_Facts):
             if v not in vertex_labels:
                 raise InvalidLabelingError(f"no label for vertex {v!r}")
             label = vertex_labels[v]
-            label = label if isinstance(label, IntegerSet) else IntegerSet(label)
-            if not label:
-                raise InvalidLabelingError(f"empty label for vertex {v!r}")
+            if type(label) is not APSet:  # an APSet is a checked, nonempty label
+                label = IntegerSet(label)
+                if not label:
+                    raise InvalidLabelingError(f"empty label for vertex {v!r}")
             labels[v] = label
         self.graph = graph
         self.vertex_labels = labels

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import GraphValidationError, SchemaError
 from .graphs import Graph, LabeledGraph
-from .sets import IntegerSet
+from .sets import APSet, IntegerSet, _elements
 
 __all__ = [
     "load_document",
@@ -142,7 +142,7 @@ def _parse_labels(doc, graph: Graph) -> dict:
             raise SchemaError("label must be a list of integers", context=where) from exc
         except ValueError as exc:
             raise SchemaError("label elements must be non-negative", context=where) from exc
-        if list(label) != arr:
+        if list(_elements(label)) != arr:
             warnings.warn(
                 f"label array for {v!r} was not strictly ascending; normalized",
                 stacklevel=3,
@@ -164,7 +164,10 @@ def load_graph(path) -> Graph:
 
 
 def _decimals(label, sep: str) -> str:
-    """``sep.join(str(e) for e in label)``, formatted by one % over the label's tuple."""
+    """``sep.join(str(e) for e in label)``, formatted by one % over the label's
+    elements: an IntegerSet's own tuple, an APSet's expanded from its terms."""
+    if type(label) is APSet:
+        label = tuple(_elements(label))
     return (("%d" + sep) * len(label))[: -len(sep)] % label
 
 

@@ -6,6 +6,12 @@ two facts about finite integer sets:
 * the sumset A+B = {a+b : a in A, b in B}, and
 * whether a set's elements form an arithmetic progression.
 
+A label has one of two types. A progression is an ``APSet``, held as its
+terms (first, difference, length) and never as its elements, so the sumset
+of two progressions that the lemma makes a progression again is built in
+O(1) at any length. Any other set is an ``IntegerSet``, the sorted tuple of
+its elements.
+
 Elements are kept inside the 64-bit unsigned range so labels survive any
 serialization boundary; arithmetic that would leave the range raises
 LabelOverflowError instead of silently widening.
@@ -37,17 +43,19 @@ class IntegerSet(tuple):
 
     The empty set is representable (it is rejected by the operations that
     need nonempty operands, not by the type). The constructor is the one
-    place elements are checked: an IntegerSet argument is returned as is,
-    and the package's own operations build their results unchecked.
+    place elements are checked: a label (an IntegerSet or an ``APSet``)
+    is returned as is, and the package's own operations build their results
+    unchecked.
 
-    A nonempty set whose elements form a progression is an ``APSet``, so a
-    label's progression facts are read from it in O(1).
+    A nonempty set whose elements form a progression is built as an
+    ``APSet``, which holds only its progression's terms, never its elements;
+    so an IntegerSet is always a set that is not a progression (or empty).
     """
 
     __slots__ = ()
 
     def __new__(cls, elements=()):
-        if isinstance(elements, IntegerSet):
+        if isinstance(elements, (IntegerSet, APSet)):
             return elements
         seen = set()
         for e in elements:
@@ -64,16 +72,32 @@ class IntegerSet(tuple):
         return "IntegerSet({%s})" % ", ".join(str(e) for e in self)
 
 
-class APSet(IntegerSet):
-    """A nonempty IntegerSet whose elements form an arithmetic progression.
+class _Progression:
+    """The slots of an ``APSet``; only ``_ap`` makes one, to fill and retype it."""
 
-    Every such set is an APSet (singletons and pairs included) and no other
-    set is; every constructor in this module keeps that rule. The public
-    constructor builds {first + i*difference : 0 <= i < length}. Its facts
-    are read from the elements: ``first``, ``difference`` and ``length``.
+    __slots__ = ("first", "difference", "length", "last")
+
+
+class APSet(_Progression):
+    """A nonempty set of integers that form an arithmetic progression.
+
+    Every such label is an APSet (singletons and pairs included) and no
+    other is; every constructor in this module keeps that rule, and
+    ``IntegerSet`` returns an APSet argument as is. An APSet holds its
+    ``first`` term, common ``difference``, ``length`` and ``last`` term,
+    never its elements, so it costs O(1) at any length, as does a sumset the
+    lemma makes a progression.
     A singleton has no usable common difference; it carries ``difference``
     None, and any attempt to compare or do arithmetic with that sentinel
     fails loudly (TypeError) rather than acting like zero.
+
+    It reads as the sorted sequence of its elements: ``len``, iteration,
+    indexing (a slice gives a plain tuple) and ``in``, all but iteration in
+    O(1) for integer arguments; its repr is an IntegerSet's, and it pickles
+    and copies as its terms. It is immutable, and it compares by (first,
+    difference, length) and hashes by its first term and length: two
+    progressions are equal exactly when their elements are, and an APSet
+    equals no tuple, so no IntegerSet.
     """
 
     __slots__ = ()
@@ -88,43 +112,95 @@ class APSet(IntegerSet):
                 raise ValueError("a singleton progression has no common difference")
         elif not _is_int(difference) or difference < 1:
             raise ValueError(f"common difference must be a positive integer, got {difference!r}")
-        d = difference or 1
-        if first + (length - 1) * d > U64_MAX:
+        last = first + (length - 1) * (difference or 1)
+        if last > U64_MAX:
             raise LabelOverflowError("progression exceeds the 64-bit range")
-        return tuple.__new__(APSet, range(first, first + length * d, d))
+        return _ap(first, difference, length, last)
 
-    def __getnewargs__(self):
-        return self.first, self.difference, self.length
+    def __setattr__(self, name, value):
+        raise AttributeError(f"APSet is immutable: cannot set {name!r}")
 
-    @property
-    def first(self) -> int:
-        return self[0]
+    def __delattr__(self, name):
+        raise AttributeError(f"APSet is immutable: cannot delete {name!r}")
 
-    @property
-    def difference(self) -> int | None:
-        return self[1] - self[0] if len(self) > 1 else None
+    def __reduce__(self):
+        return APSet, (self.first, self.difference, self.length)
 
-    @property
-    def length(self) -> int:
-        return len(self)
+    def __eq__(self, other):
+        if type(other) is not APSet:
+            return NotImplemented
+        return (
+            self.first == other.first
+            and self.difference == other.difference
+            and self.length == other.length
+        )
+
+    def __hash__(self):
+        return hash(self.first) ^ self.length
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        return iter(_elements(self))
+
+    def __getitem__(self, index):
+        items = _elements(self)[index]
+        return tuple(items) if isinstance(items, range) else items
+
+    def __contains__(self, value):
+        return value in _elements(self)
+
+    __repr__ = IntegerSet.__repr__
+
+
+_new = object.__new__
+
+
+def _ap(first: int, difference: int | None, length: int, last: int) -> APSet:
+    """The APSet of these terms, unchecked: the caller knows them consistent
+    and within 64 bits. It is filled as a ``_Progression`` and then retyped,
+    which costs less than going round APSet's own ``__setattr__``."""
+    label = _new(_Progression)
+    label.first = first
+    label.difference = difference
+    label.length = length
+    label.last = last
+    label.__class__ = APSet
+    return label
+
+
+def _elements(label):
+    """A label's elements in ascending order: an APSet's as a ``range``
+    (O(1) to build, index and search), any other label as itself."""
+    if type(label) is APSet:
+        return range(label.first, label.last + 1, label.difference or 1)
+    return label
 
 
 def _unchecked(elements) -> IntegerSet:
-    """An IntegerSet of integers already known to be in range, typed by its shape."""
+    """A label of integers already known to be in range, typed by its shape."""
     ordered = sorted(set(elements))
     n = len(ordered)
     if n > 2:
         first, last, d = ordered[0], ordered[-1], ordered[1] - ordered[0]
         # the span test first, so the range below never outgrows the set
-        progression = last - first == (n - 1) * d and ordered == list(range(first, last + 1, d))
-    else:
-        progression = n > 0
-    return tuple.__new__(APSet if progression else IntegerSet, ordered)
+        if last - first == (n - 1) * d and ordered == list(range(first, last + 1, d)):
+            return _ap(first, d, n, last)
+        return tuple.__new__(IntegerSet, ordered)
+    if n:
+        first, last = ordered[0], ordered[-1]
+        return _ap(first, last - first or None, n, last)
+    return tuple.__new__(IntegerSet)
 
 
-def _difference(label: IntegerSet) -> int | None:
+def _difference(label) -> int | None:
     """A label's common difference: an APSet's (None for a singleton), else None."""
     return label.difference if type(label) is APSet else None
+
+
+def _overflow(high_a: int, high_b: int) -> LabelOverflowError:
+    return LabelOverflowError(f"maximum sum {high_a} + {high_b} exceeds the 64-bit range")
 
 
 def sumset(a, b) -> IntegerSet:
@@ -133,33 +209,45 @@ def sumset(a, b) -> IntegerSet:
     |A+B| is at least max(|A|, |B|) and at most |A|*|B|. When A and B are
     progressions with differences d and k*d, 1 <= k <= |A|, A+B is the
     progression with difference d from min A + min B to max A + max B
-    (|A| + k(|B|-1) terms), and it is built in that closed form; a singleton
-    operand shifts the other one. Every other sumset is summed exactly.
+    (|A| + k(|B|-1) terms), and it is built from those terms in O(1); a
+    singleton operand shifts the other one. Every other sumset is summed
+    exactly.
     """
-    # this runs once per edge: two progressions are checked nonempty sets,
-    # and any other checked set skips the constructor call
-    ta, tb = type(a), type(b)
-    if ta is not APSet or tb is not APSet:
-        a = a if isinstance(a, IntegerSet) else IntegerSet(a)
-        b = b if isinstance(b, IntegerSet) else IntegerSet(b)
+    # this runs once per edge: two progressions are checked nonempty labels,
+    # and any other label skips the constructor call
+    if type(a) is not APSet or type(b) is not APSet:
+        a = a if isinstance(a, (IntegerSet, APSet)) else IntegerSet(a)
+        b = b if isinstance(b, (IntegerSet, APSet)) else IntegerSet(b)
         if not a or not b:
             raise ValueError("sumset requires nonempty operands")
-        ta, tb = type(a), type(b)
-    top = a[-1] + b[-1]
+        if type(a) is not APSet or type(b) is not APSet:
+            return _sumset_with_a_non_progression(a, b)
+    top = a.last + b.last
     if top > U64_MAX:
-        raise LabelOverflowError(
-            f"maximum sum {a[-1]} + {b[-1]} exceeds the 64-bit range"
-        )
-    if len(a) == 1 or len(b) == 1:
-        point, other = (a, b) if len(a) == 1 else (b, a)
-        return tuple.__new__(type(other), [point[0] + x for x in other])
-    if ta is APSet and tb is APSet:
-        if b[1] - b[0] < a[1] - a[0]:
-            a, b = b, a
-        d = a[1] - a[0]
-        if _bounded_multiple(d, b[1] - b[0], len(a)):
-            return tuple.__new__(APSet, range(a[0] + b[0], top + 1, d))
-    return _unchecked(x + y for x in a for y in b)
+        raise _overflow(a.last, b.last)
+    if b.length == 1:
+        a, b = b, a
+    if a.length == 1:
+        return _ap(a.first + b.first, b.difference, b.length, top)
+    if b.difference < a.difference:
+        a, b = b, a
+    d = a.difference
+    if _bounded_multiple(d, b.difference, a.length):
+        first = a.first + b.first
+        return _ap(first, d, (top - first) // d + 1, top)
+    return _unchecked(x + y for x in _elements(a) for y in _elements(b))
+
+
+def _sumset_with_a_non_progression(a, b) -> IntegerSet:
+    """``sumset`` of two nonempty labels, not both APSets: a singleton (an
+    APSet) shifts the other label, and any other pair is summed exactly."""
+    ea, eb = _elements(a), _elements(b)
+    if ea[-1] + eb[-1] > U64_MAX:
+        raise _overflow(ea[-1], eb[-1])
+    if len(ea) == 1 or len(eb) == 1:
+        point, other = (ea[0], eb) if len(ea) == 1 else (eb[0], ea)
+        return tuple.__new__(IntegerSet, [point + x for x in other])
+    return _unchecked(x + y for x in ea for y in eb)
 
 
 def detect_ap(s) -> APSet | None:
@@ -170,9 +258,11 @@ def detect_ap(s) -> APSet | None:
     answer is the checked set itself when its type says it is an APSet.
     """
     s = IntegerSet(s)
+    if type(s) is APSet:
+        return s
     if not s:
         raise ValueError("cannot detect a progression in the empty set")
-    return s if type(s) is APSet else None
+    return None
 
 
 def predicted_edge_cardinality(m: int, n: int, k: int) -> int:

@@ -28,6 +28,7 @@ from iasi import (
     complete_graph,
     construct_arbitrary,
     cycle_graph,
+    distinct_sum_sequence,
     enumerate_connected_graphs,
     path_graph,
     probe_k3_three_index,
@@ -225,7 +226,10 @@ P3_3_6_2 = [
 def p3_labeling(differences):
     vertices = path_graph(3).vertices
     labels = _progression_labels(
-        vertices, dict(zip(vertices, differences)), dict.fromkeys(vertices, 3)
+        vertices,
+        dict(zip(vertices, differences)),
+        dict.fromkeys(vertices, 3),
+        distinct_sum_sequence(3),
     )
     return LabeledGraph(path_graph(3), labels)
 

@@ -436,7 +436,10 @@ def test_complete_band_law():
         cases += 1
         vertices = complete_graph(len(differences)).vertices
         layout = _progression_labels(
-            vertices, dict(zip(vertices, differences)), dict(zip(vertices, sizes))
+            vertices,
+            dict(zip(vertices, differences)),
+            dict(zip(vertices, sizes)),
+            distinct_sum_sequence(len(vertices)),
         )
         arithmetic = all(
             is_progression(brute_sumset(layout[u], layout[v]))

@@ -1,11 +1,16 @@
 """The per-edge and per-label paths every labeled graph goes through.
 
 Each is held to a plain reference built from nested loops and sorted
-lists: ``sumset`` at the 64-bit boundary on each of its three paths,
+lists: every sequence operation of an ``APSet`` against the tuple of its
+elements, ``sumset`` at the 64-bit boundary on each of its three paths,
 ``LabeledGraph``'s edge label keys, the first-repeat witness of
-``verify_iasi`` and every field of ``classify_arithmetic``.
+``verify_iasi`` and every field of ``classify_arithmetic``. Labels cost
+their terms, not their elements, at any length.
 """
 
+import copy
+import pickle
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations
 from unittest.mock import patch
@@ -17,17 +22,138 @@ from hypothesis import strategies as st
 from iasi import (
     APSet,
     Collision,
+    ConstructionParams,
     Graph,
     IntegerSet,
     LabeledGraph,
     LabelOverflowError,
     U64_MAX,
+    check_gcd_invariant,
+    check_multiplier_condition,
     classify_arithmetic,
+    construct_arbitrary,
+    path_graph,
     sumset,
     verify_iasi,
 )
 from iasi import sets as sets_module
 from reference import brute_sumset, is_progression
+
+
+# ------------------------------------------------- an APSet read as a sequence
+
+
+@st.composite
+def progression_terms(draw):
+    """(first, difference, length) of a progression within 64 bits, often at its top or bottom."""
+    length = draw(st.integers(1, 40))
+    d = None if length == 1 else draw(st.one_of(st.integers(1, 5), st.integers(1, 2**40)))
+    room = U64_MAX - (length - 1) * (d or 1)
+    first = draw(st.one_of(
+        st.integers(0, min(room, 50)), st.integers(max(room - 50, 0), room), st.integers(0, room)
+    ))
+    return first, d, length
+
+
+@settings(max_examples=300, deadline=None)
+@given(progression_terms(), st.data())
+def test_apset_reads_as_the_tuple_of_its_elements(terms, data):
+    first, d, length = terms
+    ap = APSet(first, d, length)
+    ref = tuple(range(first, first + (length - 1) * (d or 1) + 1, d or 1))
+    assert (ap.first, ap.difference, ap.length, ap.last) == (ref[0], d, len(ref), ref[-1])
+    assert len(ap) == len(ref) and tuple(ap) == ref and list(iter(ap)) == list(ref)
+    assert bool(ap) and repr(ap) == "IntegerSet({%s})" % ", ".join(map(str, ref))
+
+    for i in range(-len(ref) - 2, len(ref) + 2):
+        if -len(ref) <= i < len(ref):
+            assert ap[i] == ref[i]
+        else:
+            with pytest.raises(IndexError):
+                ap[i]
+    bound = st.none() | st.integers(-len(ref) - 2, len(ref) + 2)
+    step = st.none() | st.integers(-4, 4).filter(bool)
+    cut = slice(data.draw(bound), data.draw(bound), data.draw(step))
+    assert type(ap[cut]) is tuple and ap[cut] == ref[cut]
+
+    near = [ref[0] - 1, ref[-1] + 1, *ref[:3], *ref[-3:], *(x + 1 for x in ref[:3])]
+    for x in near + [data.draw(st.integers(0, U64_MAX)), float(ref[0]), str(ref[0]), None]:
+        assert (x in ap) == (x in ref)
+
+    twins = [pickle.loads(pickle.dumps(ap, protocol)) for protocol in range(2, 6)]
+    for twin in twins + [copy.copy(ap), copy.deepcopy(ap)]:
+        assert type(twin) is APSet and twin == ap and hash(twin) == hash(ap)
+        assert tuple(twin) == ref
+    with pytest.raises(AttributeError):
+        ap.first = 0
+    with pytest.raises(AttributeError):
+        del ap.length
+
+
+@st.composite
+def top_pairs(draw):
+    """Two raw labels whose largest sum is U64_MAX, or a little past it.
+
+    Either is a progression (difference d, or k*d for k up to |A| + 2, or
+    any other) of 1 to 8 terms, or a set of 3 to 6 that is mostly not one,
+    so every sumset path is taken: the closed form, the singleton shift and
+    the exact sum.
+    """
+    top = U64_MAX + draw(st.sampled_from([0, 0, 0, 1, -1, -17]))
+    high_a = top // 2 + draw(st.integers(-50, 50))
+    highs = (high_a, top - high_a)
+    m = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 9))
+    labels = []
+    for high, length, step in zip(highs, (m, draw(st.integers(1, 8))), (d, None)):
+        if step is None:
+            step = draw(st.one_of(st.integers(1, m + 2).map(lambda k: k * d), st.integers(1, 40)))
+        if draw(st.integers(0, 3)):
+            labels.append([high - i * step for i in range(length)])
+        else:
+            below = draw(st.sets(st.integers(1, 60), min_size=2, max_size=5))
+            labels.append([high] + [high - x for x in below])
+    if draw(st.booleans()):
+        labels.reverse()
+    return labels
+
+
+@settings(max_examples=500, deadline=None)
+@given(top_pairs())
+def test_sumset_of_labels_at_the_64_bit_top_matches_brute_force(pair):
+    raw_a, raw_b = pair
+    a, b = IntegerSet(raw_a), IntegerSet(raw_b)
+    if max(raw_a) + max(raw_b) > U64_MAX:
+        with pytest.raises(LabelOverflowError):
+            sumset(a, b)
+        return
+    s = sumset(a, b)
+    expected = brute_sumset(raw_a, raw_b)
+    assert list(s) == expected and len(s) == len(expected)
+    assert (type(s) is APSet) == is_progression(expected)
+    if type(s) is APSet:
+        gap = expected[1] - expected[0] if len(expected) > 1 else None
+        assert (s.first, s.difference, s.length, s.last) == (
+            expected[0], gap, len(expected), expected[-1]
+        )
+
+
+# a path of 10^4-term labels: 2 MB is ~10x what the terms take, and far
+# below one label's elements (10^4 ints, ~0.3 MB) times the 399 labels
+@pytest.mark.parametrize("policy", ["fixed", "random", "maximal"])
+def test_long_labels_cost_their_terms_not_their_elements(policy):
+    graph = path_graph(200)
+    params = ConstructionParams(label_size_range=(10_000, 10_000), multiplier_policy=policy)
+    tracemalloc.start()
+    try:
+        lg = construct_arbitrary(graph, params).labeled_graph
+        report = classify_arithmetic(lg)
+        verdicts = (check_multiplier_condition(lg).ok, check_gcd_invariant(lg).ok)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_iasi and report.arithmetic and verdicts == (True, True)
+    assert peak <= 2_000_000
 
 
 # ------------------------------------------------ sumset at the 64-bit boundary

@@ -364,9 +364,12 @@ def test_label_type_marks_progressions_at_every_constructor(s):
     assert IntegerSet(label) is label
     assert repr(label) == "IntegerSet({%s})" % ", ".join(str(e) for e in sorted(s))
     plain = tuple(sorted(s))
-    assert label == plain and hash(label) == hash(plain)
+    assert tuple(label) == plain
+    # an IntegerSet is the tuple of its elements; an APSet is its terms, and
+    # it compares and hashes by them, so it equals no tuple of its elements
+    assert (label == plain) == (not expected) and (label != plain) == expected
     for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):
-        assert type(twin) is type(label) and twin == label
+        assert type(twin) is type(label) and twin == label and hash(twin) == hash(label)
     if expected:
         gap = plain[1] - plain[0] if len(plain) > 1 else None
         assert detect_ap(label) is label
@@ -374,10 +377,13 @@ def test_label_type_marks_progressions_at_every_constructor(s):
         built = APSet(plain[0], gap, len(plain))
         brute = IntegerSet(range(plain[0], plain[0] + len(plain) * (gap or 1), gap or 1))
         assert type(built) is APSet and built == brute and hash(built) == hash(brute)
+        assert built != tuple.__new__(IntegerSet, plain)  # a non-progression never equals one
         twins = [pickle.loads(pickle.dumps(built, protocol))
                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in twins + [copy.copy(built), copy.deepcopy(built)]:
             assert type(twin) is APSet and tuple(twin) == tuple(built)
+    else:
+        assert hash(label) == hash(plain)
 
 
 @given(small_sets, st.one_of(small_sets, progression_sets))
