@@ -59,9 +59,10 @@ __all__ = [
 
 MIN_CATALOG_N = 2
 MAX_CATALOG_N = 7
-# Masks per shard, the unit of work a catalog worker takes and sends back:
-# small enough that even a 5-vertex shard's frames (three policies) fit in a
-# 64 KB pipe buffer, so a worker that runs ahead rarely waits for the parent.
+# Masks per shard, the unit of work a catalog worker takes and sends back as
+# one frame. The parent keeps each frame that arrives before its turn, up to
+# the shards it dealt ahead, so a shard must stay small: at 8 masks the
+# largest frame of an n<=5 three-policy sweep is 28,975 bytes.
 _SHARD_MASKS = 8
 
 
@@ -318,21 +319,23 @@ def _check_shards(shards, policies, seed):
 
 def run_catalog_checks(max_n: int, policies=("fixed",), seed: int = 0, records_path=None):
     """Check the whole catalog, writing each graph's JSONL lines to
-    ``records_path`` (``os.devnull`` when None) as soon as the graph is
-    checked; returns the summary.
+    ``records_path`` (``os.devnull`` when None) in enumeration order as the
+    sweep goes; returns the summary.
 
     ``max_n``, the policies (an iterable of at least one name, not a bare
     string, with no name twice) and the seed are checked before the file is
     opened, so bad arguments leave an existing file untouched, and a sweep
     that stops on an error leaves the lines of every graph before the one
-    that failed. The stream is deterministic for a given (max_n, policies,
-    seed): graphs in enumeration order, checks in a fixed sequence, the K3
-    probe last. Every shard of ``_SHARD_MASKS`` masks, from n=2 up, goes
-    through one ``_workers.dealt`` call: a sweep up to ``_PARENT_MAX_N``
-    vertices runs in this process, a larger one on one forked worker per
-    CPU, each taking the next shard whenever it is free, and the stream is
-    the same either way. Only counters are kept; the summary counts
-    outcomes and carries the sweep's elapsed time.
+    that failed; one stopped by a forked worker that died without an error
+    leaves those before that worker's shard. The stream is deterministic for
+    a given (max_n, policies, seed): graphs in enumeration order, checks in
+    a fixed sequence, the K3 probe last. Every shard of ``_SHARD_MASKS``
+    masks, from n=2 up, goes through one ``_workers.dealt`` call: a sweep up
+    to ``_PARENT_MAX_N`` vertices runs in this process, graph by graph, and
+    a larger one on one forked worker per CPU, each taking the next shard
+    whenever it is free, with each shard's lines written once the shards
+    before it are. The stream is the same either way. Only counters are
+    kept; the summary counts outcomes and carries the sweep's elapsed time.
     """
     started = time.perf_counter()
     enumerate_connected_graphs(max_n)  # checks max_n

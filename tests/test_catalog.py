@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import marshal
 import os
 import pickle
 import signal
@@ -37,7 +38,7 @@ from iasi import (
     star_graph,
     verify_iasi,
 )
-from iasi import _workers, catalog, graphs
+from iasi import catalog, graphs
 from iasi._workers import _in_shard_order, dealt, worker_count
 from iasi.graphs import _breadth_first as breadth_first
 from iasi.construct import _progression_labels
@@ -468,6 +469,20 @@ def test_forked_and_serial_sweeps_are_the_same(tmp_path, monkeypatch):
 
 
 @pytest.mark.usefixtures("deadline")
+def test_the_n4_stream_is_a_prefix_of_the_forked_n5_stream(tmp_path):
+    # the serial n<=4 sweep and the forked n<=5 one (on 2 or more CPUs) check
+    # the same graphs first, so the n<=4 lines begin the n<=5 stream once the
+    # K3 probe's line, last in each, is left out
+    for n in 4, 5:
+        run_catalog_checks(n, POLICIES, seed=0, records_path=tmp_path / f"n{n}.jsonl")
+    *n4, probe4 = (tmp_path / "n4.jsonl").read_bytes().splitlines(keepends=True)
+    *n5, probe5 = (tmp_path / "n5.jsonl").read_bytes().splitlines(keepends=True)
+    assert PROBE.encode() in probe4 and probe4 == probe5
+    assert len(n5) > len(n4)
+    assert b"".join(n5).startswith(b"".join(n4))
+
+
+@pytest.mark.usefixtures("deadline")
 def test_three_workers_give_the_serial_stream(tmp_path, monkeypatch):
     # more workers than this machine may have CPUs, each taking shards as it falls free
     forks = count_forks(monkeypatch)
@@ -508,9 +523,9 @@ def test_a_free_worker_takes_the_next_shard():
 @pytest.mark.usefixtures("deadline")
 def test_dealing_goes_on_past_the_shards_dealt_ahead():
     # more shards than the parent deals ahead of shard 0: while it waits for
-    # the slow worker, the other one takes every dealt shard and waits for
-    # more, so the parent must find the next shard's holder by whichever pipe
-    # has a header, not by asking a worker that has none
+    # the slow worker, the other one sends every dealt shard and waits for
+    # more, so the parent must read whichever pipe is ready and keep the
+    # shards that arrive early, not wait on the slow worker alone
     with dealt(pid_per_shard, range(40), 2) as items:
         assert [counts for _, counts in items] == [[shard] for shard in range(40)]
 
@@ -554,39 +569,76 @@ def test_an_item_larger_than_a_pipe_buffer_comes_back_whole():
         assert list(items) == expected
 
 
-def read_back(stream: bytes) -> list:
-    """The items the parent reads from one worker that sent ``stream`` for
-    shard 0 and stopped, as ``dealt`` deals one shard to one worker."""
+def slow_large_then_failing(shards):
+    """``produce`` for ``dealt``: shard 0 made slowly, shards 0-2 larger than
+    a pipe buffer, and shard 3 raising after one item."""
+    for shard in shards:
+        if shard == 0:
+            time.sleep(0.3)
+        if shard == 3:
+            yield b"before the error", [3]
+            raise RuntimeError("shard 3 failed")
+        yield from large_items([shard])
+
+
+@pytest.mark.usefixtures("deadline")
+def test_an_error_in_a_shard_that_arrives_early_is_raised_in_its_place():
+    # while one worker sleeps on shard 0, the other sends shards 1 and 2,
+    # each larger than a pipe buffer, and then shard 3's error, so all three
+    # arrive before their turn and wait in the parent
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    got = []
+    with pytest.raises(RuntimeError, match="shard 3 failed") as raised:
+        with dealt(slow_large_then_failing, range(6), 2) as items:
+            for item in items:
+                got.append(item)
+    assert got == [*large_items(range(3)), (b"before the error", [3])]
+    assert "raised in a worker process" in str(raised.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def read_back(stream: bytes, got: list) -> None:
+    """Append to ``got`` the items the parent reads from one worker that sent
+    ``stream`` for shard 0 and stopped, as ``dealt`` deals one shard to one worker."""
     read_fd, write_fd = os.pipe()
     try:
         os.write(write_fd, stream)
         os.close(write_fd)
-        return list(_in_shard_order(iter([0]), io.BytesIO(), [read_fd]))
+        for item in _in_shard_order(iter([0]), io.BytesIO(), [read_fd]):
+            got.append(item)
     finally:
         os.close(read_fd)
 
 
-def frame(kind: bytes, number: int, payload: bytes = b"") -> bytes:
-    """A worker's frame: its kind byte, its 8-byte number, then its payload."""
-    return kind + number.to_bytes(8, "big") + payload
+def frame(number: int, items: list, error: bytes | None = None) -> bytes:
+    """A worker's frame of one shard: its 8-byte number, the payload's 8-byte
+    size, then the payload, the items and the error (None or pickled)."""
+    payload = marshal.dumps((items, error))
+    return number.to_bytes(8, "big") + len(payload).to_bytes(8, "big") + payload
 
 
 def test_a_cut_frame_is_a_stopped_worker():
-    item = b"2 0 1\n" + b'{"graph": "g"}\n'
+    items = [(b'{"graph": "g"}\n', [2, 0, 1]), (b'{"graph": "h"}\n', [1, 0, 0])]
     error = pickle.dumps((RuntimeError("stop"), "Traceback: in fail\n"))
-    shard = frame(_workers._SHARD, 0)
-    sent = shard + frame(_workers._ITEM, len(item), item) + frame(_workers._END, 0)
-    failed = shard + frame(_workers._ERROR, len(error), error)
+    sent = frame(0, items)
+    failed = frame(0, items[:1], error)
 
-    assert read_back(sent) == [(b'{"graph": "g"}\n', [2, 0, 1])]
+    got = []
+    read_back(sent, got)
+    assert got == items
+    got = []
     with pytest.raises(RuntimeError, match="stop") as raised:
-        read_back(failed)
+        read_back(failed, got)
+    assert got == items[:1]
     assert "in fail" in str(raised.value.__cause__)
-    # every frame of both streams cut at every byte, the empty stream included
+    # both frames cut at every byte, the empty stream included
     for stream in sent, failed:
         for cut in range(len(stream)):
             with pytest.raises(ChildProcessError, match="a worker stopped"):
-                read_back(stream[:cut])
+                read_back(stream[:cut], [])
 
 
 def test_a_process_with_threads_is_not_forked(monkeypatch):
@@ -689,9 +741,9 @@ def test_a_worker_that_dies_on_taking_a_shard_stops_the_sweep(tmp_path, monkeypa
     real = catalog._shards
 
     def shards(vertex_counts):
-        # a worker sends the frame of the shard it took, then walks its copy
-        # of the shards up to it, so a worker taking TARGET_SHARD or a later
-        # one stops here, with that frame sent and nothing after it
+        # a worker walks its copy of the shards up to the one it took, so a
+        # worker taking TARGET_SHARD or a later one stops here, before it
+        # sends any frame for that shard
         for number, shard in enumerate(real(vertex_counts)):
             if number == TARGET_SHARD and os.getpid() != sweeper:
                 os._exit(1)
@@ -722,8 +774,9 @@ def test_an_error_walking_to_a_shard_is_raised_in_its_place(tmp_path, monkeypatc
     real = catalog._shards
 
     def shards(vertex_counts):
-        # raised in a worker walking to TARGET_SHARD or a later one, after
-        # it sent the frame of the shard it took, as a serial sweep raises it
+        # raised in a worker walking to TARGET_SHARD or a later one and sent
+        # in the frame of the shard it took, so it is raised in that shard's
+        # place, as a serial sweep raises it
         for number, shard in enumerate(real(vertex_counts)):
             if number == TARGET_SHARD and os.getpid() != sweeper:
                 raise RuntimeError("stop walking")
