@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DisconnectedGraphError, LabelCollisionError, NotArithmeticError
 from .graphs import LabeledGraph
@@ -41,6 +42,9 @@ __all__ = [
 MIN_ARITHMETIC_LENGTH = 3
 
 _PLURALS = {"vertex": "vertices", "edge": "edges"}
+
+_PROGRESSIONS = frozenset({APSet})
+_length = attrgetter("length")
 
 
 def _braced(label) -> str:
@@ -180,18 +184,25 @@ def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
     return lg._fact(_classify)
 
 
+def _sizes(labels, types: set) -> set:
+    """The distinct sizes of ``labels``, whose types are ``types``: read from
+    the ``length`` slot when every label is an APSet, else by ``len``."""
+    return set(map(_length if types == _PROGRESSIONS else len, labels))
+
+
 def _classify(lg: LabeledGraph) -> ClassificationReport:
     injectivity = verify_iasi(lg)
     vertex_labels, edge_labels = lg.vertex_labels.values(), lg.edge_labels.values()
-    edge_sizes, vertex_sizes = set(map(len, edge_labels)), set(map(len, vertex_labels))
+    # APSet exactly for a progression
+    vertex_types, edge_types = set(map(type, vertex_labels)), set(map(type, edge_labels))
+    edge_sizes, vertex_sizes = _sizes(edge_labels, edge_types), _sizes(vertex_labels, vertex_types)
     sub_minimal = ()
     if min(vertex_sizes) < MIN_ARITHMETIC_LENGTH:
         sub_minimal = tuple(
             v for v, s in lg.vertex_labels.items() if len(s) < MIN_ARITHMETIC_LENGTH
         )
-    vertex_arithmetic = not sub_minimal and set(map(type, vertex_labels)) == {APSet}
-    edge_types = set(map(type, edge_labels))  # APSet exactly for a progression
-    edge_arithmetic = edge_types == {APSet}
+    vertex_arithmetic = not sub_minimal and vertex_types == _PROGRESSIONS
+    edge_arithmetic = edge_types == _PROGRESSIONS
     return ClassificationReport(
         is_iasi=injectivity.is_iasi,
         collision=injectivity.collision,
@@ -265,11 +276,14 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
     have a deterministic index.
     """
     diffs = lg._fact(_vertex_indices)
+    labels = lg.vertex_labels
     violations = []
     for u, v in lg.graph.edges:
-        low_vertex, high_vertex = (u, v) if diffs[u] <= diffs[v] else (v, u)
-        low, high = diffs[low_vertex], diffs[high_vertex]
-        bound = lg.vertex_labels[low_vertex].length  # every label an APSet, by _indices
+        low, high = diffs[u], diffs[v]
+        low_vertex = u  # the lower endpoint, u on a tie
+        if high < low:
+            low, high, low_vertex = high, low, v
+        bound = labels[low_vertex].length  # every label an APSet, by _indices
         if not _bounded_multiple(low, high, bound):
             k, rest = divmod(high, low)
             violations.append(MultiplierViolation((u, v), low, high, None if rest else k, bound))

@@ -28,7 +28,7 @@ from math import isqrt
 
 from .classify import MIN_ARITHMETIC_LENGTH, check_multiplier_condition
 from .graphs import Graph, LabeledGraph, complete_graph
-from .sets import U64_MAX, APSet, _bounded_multiple, _is_int
+from .sets import U64_MAX, _bounded_multiple, _is_int, _progression
 
 __all__ = [
     "ConstructionParams",
@@ -142,7 +142,7 @@ def _progression_labels(order, differences: dict, sizes: dict, offsets: list) ->
     label distinct. This is the one layout every constructor uses.
     """
     stride = 2 * max((sizes[v] - 1) * differences[v] for v in order) + 1
-    return {v: APSet(f * stride, differences[v], sizes[v]) for v, f in zip(order, offsets)}
+    return {v: _progression(f * stride, differences[v], sizes[v]) for v, f in zip(order, offsets)}
 
 
 def _difference_budget(largest_offset: int, max_size: int) -> int:
@@ -157,12 +157,12 @@ def _difference_budget(largest_offset: int, max_size: int) -> int:
     return (widest_stride - 1) // 2 // (max_size - 1)
 
 
-def _pick_multiplier(policy: str, rng: random.Random, bound: int) -> int:
+def _pick_multiplier(policy: str, rng: random.Random | None, bound: int) -> int:
     if policy == "fixed":
         return 1
     if policy == "maximal":
         return bound
-    return rng.randint(1, bound)
+    return rng.choice(range(1, bound + 1))  # the draw of rng.randint(1, bound)
 
 
 def construct_arbitrary(graph: Graph, params: ConstructionParams) -> ConstructionResult:
@@ -190,10 +190,16 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     """
     # breadth-first from the smallest vertex of each component
     order = [v for comp in graph._components() for v in comp]
-    rng = random.Random(params.seed)
-
     lo, hi = params.label_size_range
-    sizes = {v: (lo if lo == hi else rng.randint(lo, hi)) for v in order}
+    # the rng exists only to draw; each draw is the one rng.randint makes
+    rng = None
+    if lo != hi or params.multiplier_policy == "random":
+        rng = random.Random(params.seed)
+    if lo == hi:
+        sizes = dict.fromkeys(order, lo)
+    else:
+        choice, span = rng.choice, range(lo, hi + 1)
+        sizes = {v: choice(span) for v in order}
     offsets = distinct_sum_sequence(len(order))
     budget = _difference_budget(offsets[-1], max(sizes.values()))
 

@@ -112,10 +112,7 @@ class APSet(_Progression):
                 raise ValueError("a singleton progression has no common difference")
         elif not _is_int(difference) or difference < 1:
             raise ValueError(f"common difference must be a positive integer, got {difference!r}")
-        last = first + (length - 1) * (difference or 1)
-        if last > U64_MAX:
-            raise LabelOverflowError("progression exceeds the 64-bit range")
-        return _ap(first, difference, length, last)
+        return _progression(first, difference, length)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"APSet is immutable: cannot set {name!r}")
@@ -168,6 +165,19 @@ def _ap(first: int, difference: int | None, length: int, last: int) -> APSet:
     label.last = last
     label.__class__ = APSet
     return label
+
+
+def _progression(first: int, difference: int | None, length: int) -> APSet:
+    """The APSet of these checked terms, its last term computed here.
+
+    This is the one owner of the 64-bit rule on a new progression: a last
+    term beyond U64_MAX raises LabelOverflowError. ``APSet`` calls it after
+    its argument checks, and the constructors call it on terms they computed.
+    """
+    last = first + (length - 1) * (difference or 1)
+    if last > U64_MAX:
+        raise LabelOverflowError("progression exceeds the 64-bit range")
+    return _ap(first, difference, length, last)
 
 
 def _elements(label):
@@ -225,16 +235,18 @@ def sumset(a, b) -> IntegerSet:
     top = a.last + b.last
     if top > U64_MAX:
         raise _overflow(a.last, b.last)
-    if b.length == 1:
+    # a difference is None exactly for a singleton, which shifts the other label
+    da, db = a.difference, b.difference
+    if da is None:
+        return _ap(a.first + b.first, db, b.length, top)
+    if db is None:
+        return _ap(a.first + b.first, da, a.length, top)
+    if db < da:
         a, b = b, a
-    if a.length == 1:
-        return _ap(a.first + b.first, b.difference, b.length, top)
-    if b.difference < a.difference:
-        a, b = b, a
-    d = a.difference
-    if _bounded_multiple(d, b.difference, a.length):
+        da, db = db, da
+    if _bounded_multiple(da, db, a.length):
         first = a.first + b.first
-        return _ap(first, d, (top - first) // d + 1, top)
+        return _ap(first, da, (top - first) // da + 1, top)
     return _unchecked(x + y for x in _elements(a) for y in _elements(b))
 
 

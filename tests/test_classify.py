@@ -274,6 +274,41 @@ def test_multiplier_agrees_with_edge_ap():
         assert is_progression(brute_sumset(a, b)) is expect
 
 
+@st.composite
+def progression_labelings(draw):
+    """A graph on 2-6 vertices, every label a progression of 3-5 terms whose
+    difference is one of a few that are often equal or multiples."""
+    names = "abcdef"[: draw(st.integers(2, 6))]
+    edges = draw(st.lists(st.sampled_from(list(combinations(names, 2))), min_size=1, unique=True))
+    graph = Graph(sorted({v for e in edges for v in e}), edges)
+    labels = {}
+    for v in graph.vertices:
+        first = draw(st.integers(0, 50))
+        d = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+        labels[v] = range(first, first + d * draw(st.integers(3, 5)), d)
+    return LabeledGraph(graph, labels), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(progression_labelings())
+def test_multiplier_condition_matches_brute_force(labeled):
+    lg, labels = labeled
+    expected = []
+    for u, v in lg.graph.edges:
+        du, dv = labels[u].step, labels[v].step
+        low_vertex = u if du <= dv else v  # u on a tie
+        low, high = min(du, dv), max(du, dv)
+        if not is_progression(brute_sumset(labels[u], labels[v])):
+            multiplier = high // low if high % low == 0 else None
+            expected.append(((u, v), low, high, multiplier, len(labels[low_vertex])))
+    report = check_multiplier_condition(lg)
+    assert report.ok == (expected == [])
+    assert [
+        (w.edge, w.low_difference, w.high_difference, w.multiplier, w.bound)
+        for w in report.violations
+    ] == expected
+
+
 # ------------------------------------------------------------ gcd invariant
 
 

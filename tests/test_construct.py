@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iasi import (
+    APSet,
     ConstructionParams,
     Graph,
     LabelOverflowError,
+    U64_MAX,
     LabeledGraph,
     check_gcd_invariant,
     check_multiplier_condition,
@@ -26,7 +28,7 @@ from iasi import (
     star_graph,
     verify_iasi,
 )
-from iasi.construct import _progression_labels
+from iasi.construct import _difference_budget, _progression_labels
 from reference import assert_arithmetic, brute_sumset, is_progression
 
 
@@ -332,6 +334,36 @@ def test_capped_multiplier_leaves_rng_draws_alone():
         assert labels[order[i]].difference == expected
 
 
+@given(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.integers(3, 8), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1])),
+    st.sampled_from(["fixed", "random", "maximal"]),
+    st.integers(2, 30),
+)
+@settings(max_examples=150, deadline=None)
+def test_draws_replay_randint(seed, size_range, policy, n):
+    """Sizes, then the ``random`` policy's multipliers, are random.Random(seed).randint's
+    draws; with one label size, ``fixed`` and ``maximal`` draw nothing."""
+    graph = path_graph(n)
+    order = graph.vertices
+    params = ConstructionParams(label_size_range=size_range, multiplier_policy=policy, seed=seed)
+    result = construct_arbitrary(graph, params)
+    labels = result.labeled_graph.vertex_labels
+    lo, hi = size_range
+    rng = random.Random(seed)
+    sizes = [lo if lo == hi else rng.randint(lo, hi) for _ in order]
+    assert [labels[v].length for v in order] == sizes
+    if policy == "random":
+        for i in range(1, n):
+            k = rng.randint(1, sizes[i - 1])
+            parent_d = labels[order[i - 1]].difference
+            expected = parent_d if order[i] in result.capped else k * parent_d
+            assert labels[order[i]].difference == expected
+    elif lo == hi:
+        unseeded = ConstructionParams(label_size_range=size_range, multiplier_policy=policy)
+        assert result == construct_arbitrary(graph, unseeded)
+
+
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=25, deadline=None)
 def test_any_seed_constructs_arithmetic(seed):
@@ -390,6 +422,31 @@ def test_complete_overflow_before_the_multiplier_check():
     # 2 * (2 * 2**62) + 1, is already past 64 bits
     with pytest.raises(LabelOverflowError):
         construct_complete((1, 2**62), sizes=3)
+
+
+def test_one_rule_refuses_a_last_term_past_64_bits():
+    """APSet and both constructors refuse a label whose last term is U64_MAX + 1
+    with one message, and a last term of exactly U64_MAX is built."""
+    refused = pytest.raises(LabelOverflowError, match="^progression exceeds the 64-bit range$")
+    assert APSet(U64_MAX - 6, 3, 3).last == U64_MAX
+    with refused:
+        APSet(U64_MAX - 5, 3, 3)
+    # K2 with spans 2 * (2**61 - 1) and 6: b starts at twice the stride
+    # 2 * (2**62 - 2) + 1, so its last term is 2**64
+    with refused:
+        construct_complete((2**61 - 1, 3), sizes=3)
+    # P4 at 60 terms: offsets 1, 2, 3, 5 and span x = 59 * d put the last
+    # vertex's last term at 5 * (2x + 1) + x = 2**64, past every budget
+    d = (2**64 - 5) // 11 // 59
+    params = ConstructionParams(base_difference=d, label_size_range=(60, 60))
+    assert d > _difference_budget(5, 60)
+    with refused:
+        construct_arbitrary(path_graph(4), params)
+    # an edge sum passes U64_MAX before a constructed vertex label can reach
+    # it, so the layout they share is what reaches it: offset 15 and span x
+    # put the last term at 15 * (2x + 1) + x = 31x + 15
+    x = (U64_MAX - 15) // 31
+    assert _progression_labels(["a"], {"a": x // 2}, {"a": 3}, [15])["a"].last == U64_MAX
 
 
 def test_complete_beyond_26_vertices():

@@ -95,6 +95,14 @@ def test_only_the_reference_module_defines_brute_force_references():
     assert sorted(defined) == [("reference.py", name) for name in sorted(shared)]
 
 
+def test_one_owner_of_the_progression_overflow_rule():
+    """A new progression's 64-bit rule on its last term is written once."""
+    message = "progression exceeds the 64-bit range"
+    sources = sorted(Path(iasi.__file__).parent.glob("*.py"))
+    owners = [p.name for p in sources for _ in range(p.read_text(encoding="utf-8").count(message))]
+    assert owners == ["sets.py"]
+
+
 def test_readme_quick_start_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
