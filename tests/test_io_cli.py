@@ -11,20 +11,28 @@ import iasi.io
 import iasi.sets
 from iasi import (
     U64_MAX,
+    APSet,
     ConstructionParams,
     Graph,
     InvalidLabelingError,
+    LabelCollisionError,
     LabeledGraph,
     LabelOverflowError,
+    NotArithmeticError,
     SchemaError,
     construct_arbitrary,
+    contract_edge,
     document_text,
     dot_text,
     export_dot,
     load_document,
     load_graph,
     path_graph,
+    reduce_topologically,
     save_document,
+    subdivide,
+    to_line_graph,
+    to_total_graph,
 )
 from iasi import catalog
 from iasi.cli import main
@@ -276,6 +284,18 @@ def test_malformed_json_reports_position(tmp_path):
     assert exc.value.context.endswith(":1:12")
 
 
+def test_non_utf8_document_names_file_and_offset(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes('{"graph": {"vertices": ["caf\u00e9"], "edges": []}}'.encode("latin-1"))
+    with pytest.raises(SchemaError) as exc:
+        load_document(path)
+    assert exc.value.context == str(path)
+    assert "0xe9 at offset 28" in str(exc.value)
+    code, payload, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 2 and payload is None
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 # ---------------------------------------------------------------------- dot
 
 
@@ -371,9 +391,7 @@ def reference_set(label):
     return "{%s}" % ",".join(str(e) for e in label)
 
 
-@settings(max_examples=300, deadline=None)
-@given(labeled_graphs(), st.one_of(st.none(), json_values))
-def test_writers_match_references(tmp_path_factory, lg, metadata):
+def reference_document(lg, metadata=None):
     doc = {
         "graph": {
             "vertices": list(lg.graph.vertices),
@@ -383,19 +401,150 @@ def test_writers_match_references(tmp_path_factory, lg, metadata):
     }
     if metadata is not None:
         doc["metadata"] = metadata
-    assert document_text(lg, metadata) == json.dumps(doc, indent=2) + "\n"
-    # and every document written loads back as the labeled graph it was written from
-    path = tmp_path_factory.getbasetemp() / "written.json"
-    save_document(lg, path, metadata)
-    assert load_document(path) == lg
+    return json.dumps(doc, indent=2) + "\n"
 
+
+def reference_dot(lg):
     lines = ["graph G {"]
     for v in lg.graph.vertices:
         lines.append(f'  {reference_dot_id(v)} [label="{reference_set(lg.vertex_labels[v])}"];')
     for u, v in lg.graph.edges:
         label = reference_set(lg.edge_labels[(u, v)])
         lines.append(f'  {reference_dot_id(u)} -- {reference_dot_id(v)} [label="{label}"];')
-    assert dot_text(lg) == "\n".join(lines + ["}"]) + "\n"
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_graphs(), st.one_of(st.none(), json_values))
+def test_writers_match_references(tmp_path_factory, lg, metadata):
+    assert document_text(lg, metadata) == reference_document(lg, metadata)
+    # and every document written loads back as the labeled graph it was written from
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    save_document(lg, path, metadata)
+    assert load_document(path) == lg
+    assert dot_text(lg) == reference_dot(lg)
+
+
+# The writers' shared label-text memo against the same references, on what it
+# serves: a labeling and its five transforms, which carry its labels. Label
+# sizes reach 70, so some labels pass the memo's 64-term cap; some labelings
+# hold a label that is not a progression, which only the input writes (every
+# transform refuses it). Names carry the characters that the writers escape
+# or that their % formats would read.
+@st.composite
+def labelings_with_transforms(draw):
+    names = draw(
+        st.lists(st.text(st.sampled_from('ab"\\%'), min_size=1, max_size=3),
+                 min_size=3, max_size=8, unique=True)
+    )
+    edges = {
+        frozenset((names[i], names[draw(st.integers(0, i - 1))])) for i in range(1, len(names))
+    }
+    pairs = [frozenset(p) for p in zip(names, names[1:] + names[:1])]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    graph = Graph(names, [tuple(e) for e in edges])
+    policy = draw(st.sampled_from(["fixed", "random", "maximal"]))
+    # an edge multiplier k gives m + k(n - 1) terms; only k = 1 sizes past 8,
+    # so that no label reaches the thousands of terms the references are slow on
+    top = 70 if policy == "fixed" else 8
+    low = draw(st.integers(3, top))
+    params = ConstructionParams(
+        label_size_range=(low, draw(st.integers(low, top))),
+        multiplier_policy=policy,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    lg = construct_arbitrary(graph, params).labeled_graph
+    if draw(st.booleans()):
+        # a last gap of 2d + 1 after gaps of d: no longer a progression
+        v = draw(st.sampled_from(names))
+        label = lg.vertex_labels[v]
+        labels = dict(lg.vertex_labels)
+        labels[v] = {*label, label.last + 2 * label.difference + 1}
+        lg = LabeledGraph(graph, labels)
+    return lg
+
+
+def transformed(lg):
+    """``lg`` and each of its five transforms that succeeds, in that order."""
+    graph = lg.graph
+    edge = graph.edges[0]
+    ops = [
+        lambda: contract_edge(lg, edge),
+        lambda: subdivide(lg, edge),
+        lambda: to_line_graph(lg),
+        lambda: to_total_graph(lg),
+    ]
+    for v in graph.vertices:
+        if graph.degree(v) == 2 and not graph.has_edge(*graph.neighbors(v)):
+            ops.append(lambda v=v: reduce_topologically(lg, v))
+            break
+    outputs = [lg]
+    for op in ops:
+        try:
+            outputs.append(op())
+        except (LabelCollisionError, NotArithmeticError, ValueError):
+            continue
+    return outputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelings_with_transforms())
+def test_writers_match_references_through_transforms(lg):
+    expected = [(out, reference_document(out), reference_dot(out)) for out in transformed(lg)]
+    # in turn twice, so the second pass reads every progression warm; then cold
+    for clear in (False, False, True):
+        if clear:
+            iasi.io._progression_text.cache_clear()
+        for out, document, dot in expected:
+            assert document_text(out) == document
+            assert dot_text(out) == dot
+
+
+def progression_path(count, length, base=0):
+    """A path of ``count`` vertices with distinct ``length``-term labels, so
+    its document writes ``count`` progressions and its DOT ``2 * count - 1``."""
+    names = [f"v{i}" for i in range(count)]
+    # differences 1 and 2 alternate, so every edge label is a progression too
+    labels = {
+        v: APSet(base + 1000 * i, 1 + i % 2, length) for i, v in enumerate(names)
+    }
+    return LabeledGraph(Graph(names, list(zip(names, names[1:]))), labels)
+
+
+def test_label_memo_stays_bounded():
+    memo = iasi.io._progression_text
+    size = memo.cache_info().maxsize
+    memo.cache_clear()
+    for k in range(6):
+        document_text(progression_path(size // 2, 3, base=10**9 * k))
+    info = memo.cache_info()
+    assert info.misses == 3 * size
+    assert info.currsize <= size
+    # a label of 64 terms is kept (one of 65 is not: the test below)
+    document_text(progression_path(2, 64))
+    info = memo.cache_info()
+    assert info.currsize == size and info.misses == 3 * size + 2
+
+
+@pytest.mark.parametrize(
+    "lg, writers",
+    [
+        (progression_path(2, 65), (document_text, dot_text)),
+        (progression_path(iasi.io._MEMO_LABELS + 1, 3), (document_text, dot_text)),
+        # its document's labels fit the memo; its DOT's, one per edge more, do not
+        (progression_path(iasi.io._MEMO_LABELS // 2 + 1, 3), (dot_text,)),
+    ],
+    ids=["65-term-labels", "more-labels-than-the-memo", "dot-of-more-labels-than-the-memo"],
+)
+def test_writes_the_memo_skips_leave_it_as_it_was(lg, writers):
+    references = {document_text: reference_document, dot_text: reference_dot}
+    memo = iasi.io._progression_text
+    memo.cache_clear()
+    document_text(progression_path(4, 3))
+    before = memo.cache_info()
+    for writer in writers:
+        assert writer(lg) == references[writer](lg)
+    assert memo.cache_info() == before
 
 
 # ---------------------------------------------------------------------- cli
