@@ -39,9 +39,10 @@ from iasi import (
     verify_iasi,
 )
 from iasi import catalog, graphs
-from iasi._workers import _in_shard_order, dealt, worker_count
+from iasi._workers import _AHEAD, _in_shard_order, dealt, worker_count
 from iasi.graphs import _breadth_first as breadth_first
 from iasi.construct import _progression_labels
+from reference import reference_catalog
 
 PROBE = "probe-k3-three-index"
 POLICIES = ("fixed", "random", "maximal")
@@ -329,6 +330,32 @@ def test_catalog_n5_stream_is_pinned(tmp_path):
     assert digest == "7bcd68ef3f9cd0ed137638b1bfc167cee985adc744fe7b369d8010042d79b5d6"
 
 
+@pytest.mark.usefixtures("deadline")
+def test_the_n5_stream_agrees_with_the_reference_catalog(tmp_path):
+    # every record after a construct record (all but the probe), witness and
+    # all, against the claims recomputed from the definitions on plain sets
+    path = tmp_path / "records.jsonl"
+    run_catalog_checks(5, POLICIES, seed=0, records_path=path)
+    with open(path, encoding="utf-8") as lines:
+        compared, disagreements = reference_catalog(lines)
+    assert disagreements == []
+    assert compared == 19_611
+
+
+def test_the_reference_catalog_reports_a_changed_or_missing_record(tmp_path):
+    path = tmp_path / "records.jsonl"
+    run_catalog_checks(3, POLICIES, seed=0, records_path=path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # all but the 5 graphs' construct records under each policy and the probe
+    assert reference_catalog(lines) == (len(lines) - 3 * 5 - 1, [])
+    total = next(i for i, line in enumerate(lines) if '"transform-total/fixed"' in line)
+    changed = lines[total].replace('"outcome":"pass"', '"outcome":"discrepancy"')
+    (record, want), = reference_catalog([*lines[:total], changed, *lines[total + 1 :]])[1]
+    assert (record["outcome"], want["outcome"]) == ("discrepancy", "pass")
+    (record, want), = reference_catalog([*lines[:total], *lines[total + 1 :]])[1]
+    assert record is None and want["check"] == "transform-total/fixed"
+
+
 def test_catalog_small_sweep_fixed_policy(tmp_path):
     records, summary = sweep(tmp_path, 3, policies=("fixed",), seed=0)
     assert summary["graphs"] == 5
@@ -567,6 +594,42 @@ def test_an_item_larger_than_a_pipe_buffer_comes_back_whole():
     assert min(len(data) for data, _ in expected) >= 200_000
     with dealt(large_items, range(6), 2) as items:
         assert list(items) == expected
+
+
+_FRAME_ITEM = 200_000  # bytes of each shard's one item in the test below
+_INTERPRETER_ALLOWANCE = 100_000  # traced bytes besides frames: 3-13 kB seen on Python 3.11
+
+
+def slow_first_then_frame_sized(shards):
+    """``produce`` for ``dealt``: one ``_FRAME_ITEM``-byte item per shard,
+    with shard 0 made slowly."""
+    for shard in shards:
+        if shard == 0:
+            time.sleep(0.3)
+        yield bytes(_FRAME_ITEM), [shard]
+
+
+@pytest.mark.usefixtures("deadline")
+def test_the_parent_holds_no_more_frames_than_it_dealt_ahead():
+    # while one worker sleeps on shard 0, the other sends every shard dealt
+    # ahead, and the parent keeps them; then the consumer is slow, so the
+    # workers are always ahead of it. Whatever the scheduling, the parent
+    # holds at most the _AHEAD * workers frames dealt and not yet consumed:
+    # one of them read as its parts and again joined, or unpacked beside its
+    # payload, so one frame more, and the consumer's last item, one more.
+    # Dealing all 60 shards at once would let it hold ~60
+    workers, shards = 2, 60
+    tracemalloc.start()
+    try:
+        with dealt(slow_first_then_frame_sized, range(shards), workers) as items:
+            for _, counts in items:
+                time.sleep(0.002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [shards - 1]
+    frames = _AHEAD * workers + 1 + 1
+    assert peak <= frames * _FRAME_ITEM + _INTERPRETER_ALLOWANCE
 
 
 def slow_large_then_failing(shards):

@@ -36,6 +36,7 @@ from iasi import (
 )
 from iasi import catalog
 from iasi.cli import main
+from reference import corpus_style, reference_document, reference_dot
 
 
 def sample_lg():
@@ -344,9 +345,10 @@ def test_dot_export_is_byte_stable(tmp_path):
     assert a.read_text() == dot_text(lg)
 
 
-# The writers against references built from the labeled graph alone: the
-# document against json.dumps(indent=2) of its dict, DOT against a per-element
-# str() join. Names carry quotes, backslashes, newlines and non-ASCII text,
+# The writers against references built from the vertex labels alone
+# (tests/reference.py): the document against json.dumps(indent=2) of its dict,
+# DOT against a per-element str() join, each edge labeled with the brute-force
+# sumset of its ends' labels. Names carry quotes, backslashes, newlines and non-ASCII text,
 # but only characters with a UTF-8 form: the writers refuse a lone surrogate
 # (test_writers_refuse_names_the_reader_refuses); label elements reach
 # U64_MAX // 2, so edge labels reach U64_MAX - 1.
@@ -381,37 +383,6 @@ def labeled_graphs(draw):
         v: draw(st.sets(label_elements, min_size=1, max_size=4)) for v in names
     }
     return LabeledGraph(Graph(names, [tuple(e) for e in edges]), labels)
-
-
-def reference_dot_id(name):
-    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def reference_set(label):
-    return "{%s}" % ",".join(str(e) for e in label)
-
-
-def reference_document(lg, metadata=None):
-    doc = {
-        "graph": {
-            "vertices": list(lg.graph.vertices),
-            "edges": [list(e) for e in lg.graph.edges],
-        },
-        "labels": {v: list(lg.vertex_labels[v]) for v in lg.graph.vertices},
-    }
-    if metadata is not None:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def reference_dot(lg):
-    lines = ["graph G {"]
-    for v in lg.graph.vertices:
-        lines.append(f'  {reference_dot_id(v)} [label="{reference_set(lg.vertex_labels[v])}"];')
-    for u, v in lg.graph.edges:
-        label = reference_set(lg.edge_labels[(u, v)])
-        lines.append(f'  {reference_dot_id(u)} -- {reference_dot_id(v)} [label="{label}"];')
-    return "\n".join(lines + ["}"]) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -545,6 +516,63 @@ def test_writes_the_memo_skips_leave_it_as_it_was(lg, writers):
     for writer in writers:
         assert writer(lg) == references[writer](lg)
     assert memo.cache_info() == before
+
+
+def assert_same_lines(text, expected):
+    """``text == expected``, failing at the first line that differs: pytest's
+    diff of two whole texts of thousands of lines would take minutes."""
+    if text != expected:
+        lines, expected_lines = text.split("\n"), expected.split("\n")
+        for line, expected_line in zip(lines, expected_lines):
+            assert line == expected_line
+        assert len(lines) == len(expected_lines)
+
+
+def test_writers_give_the_reference_bytes_on_2000_vertex_documents():
+    # the transforms of two corpus-style documents in turn, so the memo fills
+    # with the first document's labels, evicts them for the second's,
+    # and is skipped by every call that writes more than 2,048 labels: each
+    # DOT here, and the documents of the line and total graphs. A transform
+    # may refuse only with a label collision; any other error fails the test
+    memo = iasi.io._progression_text
+    memo.cache_clear()
+    written = {}
+    for seed in (0, 1):
+        lg = corpus_style(seed, 2000)
+        graph = lg.graph
+        edge = graph.edges[0]
+        reducible = next(
+            v for v in graph.vertices
+            if graph.degree(v) == 2 and not graph.has_edge(*graph.neighbors(v))
+        )
+        ops = {
+            "contract": lambda: contract_edge(lg, edge),
+            "subdivide": lambda: subdivide(lg, edge),
+            "reduce": lambda: reduce_topologically(lg, reducible),
+            "line": lambda: to_line_graph(lg),
+            "total": lambda: to_total_graph(lg),
+        }
+        written[seed] = []
+        for name, op in ops.items():
+            try:
+                out = op()
+            except LabelCollisionError:
+                continue
+            written[seed].append(name)
+            before = memo.cache_info()
+            assert_same_lines(document_text(out), reference_document(out))
+            skipped = memo.cache_info() == before
+            assert skipped == (len(out.graph.vertices) > iasi.io._MEMO_LABELS)
+            before = memo.cache_info()
+            assert_same_lines(dot_text(out), reference_dot(out))
+            assert memo.cache_info() == before
+    # seed 1's total graph has a known label collision
+    assert written == {
+        0: ["contract", "subdivide", "reduce", "line", "total"],
+        1: ["contract", "subdivide", "reduce", "line"],
+    }
+    info = memo.cache_info()
+    assert info.currsize == info.maxsize < info.misses
 
 
 # ---------------------------------------------------------------------- cli

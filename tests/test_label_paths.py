@@ -138,11 +138,16 @@ def test_sumset_of_labels_at_the_64_bit_top_matches_brute_force(pair):
         )
 
 
-# a path of 10^4-term labels: 2 MB is ~10x what the terms take, and far
-# below one label's elements (10^4 ints, ~0.3 MB) times the 399 labels
-@pytest.mark.parametrize("policy", ["fixed", "random", "maximal"])
-def test_long_labels_cost_their_terms_not_their_elements(policy):
-    graph = path_graph(200)
+# a path of 10^4-term labels: 2 MB is ~10x what the terms of 200 vertices
+# take, and far below one label's elements (10^4 ints, ~0.3 MB) times the 399
+# labels; 1,000 vertices (1,999 labels) must fit the same bound
+@pytest.mark.parametrize(
+    "policy, n",
+    [(policy, n) for n in (200, 1000) for policy in ("fixed", "random", "maximal")],
+    ids=["fixed", "random", "maximal", "fixed-1000", "random-1000", "maximal-1000"],
+)
+def test_long_labels_cost_their_terms_not_their_elements(policy, n):
+    graph = path_graph(n)
     params = ConstructionParams(label_size_range=(10_000, 10_000), multiplier_policy=policy)
     tracemalloc.start()
     try:
