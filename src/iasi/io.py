@@ -23,11 +23,10 @@ offset, or the line and column, where reading stopped.
 Both writers take a progression label's text from one memo, which keeps the
 text of the 2,048 progressions written most recently: an associated graph
 carries its input's labels, so a document and its transforms write the same
-progressions many times. A progression of more than 64 terms, a label that
-is not a progression, and every label of a call that writes more than 2,048
-labels are formatted directly and leave the memo as it was, so it never holds
-more than 2,048 x 64 x 21 B, about 2.8 MB of text. The memo changes no byte
-written.
+progressions many times. A progression of more than 64 terms and a label
+that is not a progression are formatted directly and leave the memo as it
+was, so it never holds more than 2,048 x 64 x 21 B (a 20-digit decimal and
+its comma), about 2.8 MB of text. The memo changes no byte written.
 """
 
 from __future__ import annotations
@@ -116,8 +115,8 @@ def _parse_graph(doc) -> Graph:
     gobj = doc["graph"]
     _check_fields(gobj, {"vertices", "edges"}, {"vertices", "edges"}, "graph")
     vertices = gobj["vertices"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) and v for v in vertices):
-        raise SchemaError("vertices must be a list of nonempty strings", context="graph.vertices")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise SchemaError("vertices must be a list of strings", context="graph.vertices")
     problem = _name_problem(vertices)
     if problem:
         raise SchemaError(problem, context="graph.vertices")
@@ -196,25 +195,15 @@ def _progression_text(first: int, difference: int | None, length: int) -> str:
     return ("%d," * length)[:-1] % tuple(range(first, first + length * step, step))
 
 
-def _decimals(label, memo: bool) -> str:
-    """``",".join(str(e) for e in label)``, formatted by one %.
-
-    An APSet's text comes from the memo both writers share, which keeps the
-    text of the 2,048 progressions written most recently: the associated
-    graphs carry their input's labels, so a document and its transforms
-    write the same progressions many times. Three kinds of label are
-    formatted directly and leave the memo as it was: an APSet of more than
-    64 terms, any IntegerSet (its own tuple is the % argument), and every
-    label of a call that writes more labels than the memo holds (``memo``
-    False), whose entries would be evicted before they were read again.
-    So the memo never holds more than 2,048 x 64 x 21 B (a 20-digit decimal
-    and its comma), about 2.8 MB of text.
-    """
+def _decimals(label) -> str:
+    """``",".join(str(e) for e in label)``, formatted by one %; an APSet of at
+    most 64 terms through the memo (see the module docstring)."""
     if type(label) is APSet:
         text = _progression_text
-        if not (memo and label.length <= _MEMO_TERMS):
+        if label.length > _MEMO_TERMS:
             text = text.__wrapped__  # the same formatting, past the memo
         return text(label.first, label.difference, label.length)
+    # an IntegerSet's own tuple is the % argument
     return ("%d," * len(label))[:-1] % label
 
 
@@ -240,19 +229,18 @@ def document_text(lg: LabeledGraph, metadata=None) -> str:
     written directly so that no element passes through the pure-Python
     encoder that ``indent`` selects. Every array here is non-empty (a graph has
     a vertex and an edge, a label an element), so none needs the ``[]`` form.
-    A label's elements are laid out from its ``dot_text`` text, taken from the
-    memo the two writers share (see ``_decimals``), with each comma followed by
-    the indent. A vertex name the reader would refuse raises ValueError first.
+    A label's elements are laid out from its ``dot_text`` text, with each
+    comma followed by the indent. A vertex name the reader would refuse raises
+    ValueError first.
     """
     _require_names(lg.graph)
     quoted = {v: _quote(v) for v in lg.graph.vertices}
     edges = [
         "[\n        %s,\n        %s\n      ]" % (quoted[u], quoted[v]) for u, v in lg.graph.edges
     ]
-    memo = len(lg.vertex_labels) <= _MEMO_LABELS
     # a decimal holds no comma, so each comma of a label's text is a separator
     labels = [
-        "%s: [\n      %s\n    ]" % (quoted[v], _decimals(label, memo).replace(",", ",\n      "))
+        "%s: [\n      %s\n    ]" % (quoted[v], _decimals(label).replace(",", ",\n      "))
         for v, label in lg.vertex_labels.items()
     ]
     text = _DOCUMENT % (
@@ -289,14 +277,13 @@ def dot_text(lg: LabeledGraph) -> str:
     A vertex name a document may not hold raises ValueError first."""
     _require_names(lg.graph)
     ids = {v: _dot_id(v) for v in lg.graph.vertices}
-    memo = len(lg.vertex_labels) + len(lg.edge_labels) <= _MEMO_LABELS
     lines = ["graph G {"]
     lines += [
-        '  %s [label="{%s}"];' % (ids[v], _decimals(label, memo))
+        '  %s [label="{%s}"];' % (ids[v], _decimals(label))
         for v, label in lg.vertex_labels.items()
     ]
     lines += [
-        '  %s -- %s [label="{%s}"];' % (ids[u], ids[v], _decimals(label, memo))
+        '  %s -- %s [label="{%s}"];' % (ids[u], ids[v], _decimals(label))
         for (u, v), label in lg.edge_labels.items()
     ]
     lines.append("}")

@@ -115,7 +115,7 @@ def contract_edge(lg: LabeledGraph, edge) -> LabeledGraph:
 
 def _reduction_problem(graph: Graph, vertex) -> str | None:
     """Why ``vertex`` cannot be reduced topologically, or None if it can."""
-    if vertex not in graph.vertices:
+    if not (isinstance(vertex, str) and vertex in graph._adjacency):
         return f"no such vertex: {vertex!r}"
     if graph.degree(vertex) != 2:
         return f"vertex {vertex!r} has degree {graph.degree(vertex)}, need exactly 2"
@@ -146,7 +146,7 @@ def reduce_topologically(lg: LabeledGraph, vertex: str) -> LabeledGraph:
 
 def _subdivided(graph: Graph, edge) -> tuple:
     u, v = edge = _require_edge(graph, edge)
-    mid = _fresh_name(f"({u}~{v})", graph.vertices)
+    mid = _fresh_name(f"({u}~{v})", graph._adjacency)
     edges = [e for e in graph.edges if e != edge] + [(u, mid), (mid, v)]
     return Graph(list(graph.vertices) + [mid], edges), {edge: mid}
 

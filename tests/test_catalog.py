@@ -206,6 +206,15 @@ def test_reduce_and_line_checks_skipped_when_undefined():
     assert "transform-line/fixed" not in names  # single edge
 
 
+def test_a_graph_with_no_reducible_vertex_is_searched_in_linear_time():
+    # a star has no degree-2 vertex, so every vertex is tested; each test is a
+    # dict lookup, where a scan of the vertex tuple made the search quadratic
+    graph = star_graph(40_000)
+    start = time.perf_counter()
+    assert catalog._first_reducible(graph) is None
+    assert time.perf_counter() - start < 1
+
+
 # every record of the catalog's claims on P3 with differences 3, 6, 2 (sizes
 # 3): arithmetic, but 6 is no multiple of the least difference, 2
 P3_3_6_2 = [
@@ -404,22 +413,6 @@ def test_lines_are_written_as_each_graph_is_checked(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="stop"):
         run_catalog_checks(3, records_path=path)
     assert path.read_text() == records_jsonl(finished)
-
-
-@pytest.mark.usefixtures("deadline")
-def test_sweep_memory_does_not_grow_with_the_catalog():
-    run_catalog_checks(3)  # warm import-time and first-call allocations
-
-    def peak(max_n):
-        tracemalloc.start()
-        try:
-            run_catalog_checks(max_n, records_path=os.devnull)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # n<=5 checks 771 graphs against n<=4's 43
-    assert peak(5) <= 2 * peak(4)
 
 
 @pytest.mark.parametrize(
@@ -883,13 +876,26 @@ def test_a_worker_that_dies_on_reading_a_task_stops_the_sweep(tmp_path, monkeypa
 
 
 def test_serial_sweep_memory_does_not_grow_with_the_catalog(monkeypatch):
-    # the default sweep's tracemalloc sees only this process, not the workers
+    # serial, since tracemalloc sees only this process, not the workers; the
+    # frames a forked parent holds are bounded by
+    # test_the_parent_holds_no_more_frames_than_it_dealt_ahead
     one_cpu(monkeypatch)
-    test_sweep_memory_does_not_grow_with_the_catalog()
+    run_catalog_checks(3)  # warm import-time and first-call allocations
+
+    def peak(max_n):
+        tracemalloc.start()
+        try:
+            run_catalog_checks(max_n, records_path=os.devnull)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # n<=5 checks 771 graphs against n<=4's 43
+    assert peak(5) <= 2 * peak(4)
 
 
 def test_serial_sweep_retains_no_memory(monkeypatch):
-    # the peak guards above also count dead tuples parked in CPython's free
+    # the peak guard above also counts dead tuples parked in CPython's free
     # lists, which only a full collection empties; this one counts only what
     # a sweep leaves behind after one
     one_cpu(monkeypatch)
