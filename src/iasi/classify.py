@@ -20,7 +20,7 @@ from operator import attrgetter
 
 from .errors import DisconnectedGraphError, LabelCollisionError, NotArithmeticError
 from .graphs import LabeledGraph
-from .sets import APSet, _bounded_multiple, _difference
+from .sets import APSet, IntegerSet, _bounded_multiple
 
 __all__ = [
     "Collision",
@@ -59,7 +59,7 @@ class Collision:
     kind: str  # "vertex" | "edge"
     first: object
     second: object
-    label: tuple
+    label: IntegerSet | APSet
 
     def __str__(self):
         return (
@@ -86,14 +86,15 @@ def _first_collision(labels: dict, kind):
     """The first repeated label of ``labels`` in its (canonical) order, or None.
 
     One hash pass over the labels settles the common case, no repeat; only
-    a repeat walks them again, in order, for the first collision.
+    a repeat walks them again, in order, for the first collision, whose
+    witness is the repeated label itself.
     """
     if len(set(labels.values())) == len(labels):
         return None
     seen = {}
     for name, label in labels.items():
         if label in seen:
-            return Collision(kind, seen[label], name, tuple(label))
+            return Collision(kind, seen[label], name, label)
         seen[label] = name
     return None
 
@@ -141,9 +142,9 @@ def classify_edges(lg: LabeledGraph) -> dict:
     Both can hold at once (singleton against anything).
     """
     out = {}
+    labels = lg.vertex_labels
     for (u, v), label in lg.edge_labels.items():
-        m, n = len(lg.vertex_labels[u]), len(lg.vertex_labels[v])
-        size = len(label)
+        m, n, size = labels[u].length, labels[v].length, label.length
         out[(u, v)] = EdgeClassification(
             weak=size == max(m, n), strong=size == m * n, indexing_number=size
         )
@@ -184,22 +185,16 @@ def classify_arithmetic(lg: LabeledGraph) -> ClassificationReport:
     return lg._fact(_classify)
 
 
-def _sizes(labels, types: set) -> set:
-    """The distinct sizes of ``labels``, whose types are ``types``: read from
-    the ``length`` slot when every label is an APSet, else by ``len``."""
-    return set(map(_length if types == _PROGRESSIONS else len, labels))
-
-
 def _classify(lg: LabeledGraph) -> ClassificationReport:
     injectivity = verify_iasi(lg)
     vertex_labels, edge_labels = lg.vertex_labels.values(), lg.edge_labels.values()
     # APSet exactly for a progression
     vertex_types, edge_types = set(map(type, vertex_labels)), set(map(type, edge_labels))
-    edge_sizes, vertex_sizes = _sizes(edge_labels, edge_types), _sizes(vertex_labels, vertex_types)
+    edge_sizes, vertex_sizes = set(map(_length, edge_labels)), set(map(_length, vertex_labels))
     sub_minimal = ()
     if min(vertex_sizes) < MIN_ARITHMETIC_LENGTH:
         sub_minimal = tuple(
-            v for v, s in lg.vertex_labels.items() if len(s) < MIN_ARITHMETIC_LENGTH
+            v for v, s in lg.vertex_labels.items() if s.length < MIN_ARITHMETIC_LENGTH
         )
     vertex_arithmetic = not sub_minimal and vertex_types == _PROGRESSIONS
     edge_arithmetic = edge_types == _PROGRESSIONS
@@ -247,12 +242,12 @@ def _indices(labels: dict, kind: str) -> dict:
     """Each label's common difference (deterministic index).
 
     A label has one exactly when it is a progression of two or more
-    elements: an APSet that is not a singleton, whose difference slot is
-    read. Otherwise NotArithmeticError names the first label without one.
+    elements; a singleton's and an IntegerSet's ``difference`` is None.
+    NotArithmeticError names the first label without one.
     """
     indices = {}
     for x, label in labels.items():
-        d = _difference(label)
+        d = label.difference
         if d is None:
             raise NotArithmeticError(
                 f"{kind} {x!r} has no deterministic index: label {_braced(label)} is "
@@ -283,7 +278,7 @@ def check_multiplier_condition(lg: LabeledGraph) -> MultiplierReport:
         low_vertex = u  # the lower endpoint, u on a tie
         if high < low:
             low, high, low_vertex = high, low, v
-        bound = labels[low_vertex].length  # every label an APSet, by _indices
+        bound = labels[low_vertex].length
         if not _bounded_multiple(low, high, bound):
             k, rest = divmod(high, low)
             violations.append(MultiplierViolation((u, v), low, high, None if rest else k, bound))

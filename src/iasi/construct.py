@@ -146,12 +146,14 @@ def _progression_labels(order, differences: dict, sizes: dict, offsets: list) ->
 
 
 def _difference_budget(largest_offset: int, max_size: int) -> int:
-    """The largest common difference that keeps every label element <= U64_MAX.
+    """A common difference that keeps every label element <= U64_MAX.
 
     Every element of a vertex or edge label lies below (2F + 1) * stride,
     where F is ``largest_offset``, the largest distinct-sum term of the
     layout, and stride = 2 * max span + 1, a span being at most
-    (max_size - 1) * difference.
+    (max_size - 1) * difference. The bound is sufficient, not tight: no
+    difference within it overflows, and a slightly larger base difference
+    may still construct (up to 7/6 of it on P3 with three-term labels).
     """
     widest_stride = (U64_MAX + 1) // (2 * largest_offset + 1)
     return (widest_stride - 1) // 2 // (max_size - 1)
@@ -177,15 +179,17 @@ def construct_arbitrary(graph: Graph, params: ConstructionParams) -> Constructio
     base difference, which satisfies every edge with k=1.
 
     Multipliers compound along a path, so a k*d beyond the difference
-    budget (the largest difference whose labels and edge sums all fit in
-    64 bits) is replaced by d, k=1, and the vertex is listed in ``capped``.
+    budget (a sufficient bound: with every difference within it, the labels
+    and edge sums all fit in 64 bits) is replaced by d, k=1, and the vertex
+    is listed in ``capped``.
     The rng is drawn from as if nothing were capped, so a labeling that hits
     no cap is the same as without one.
 
     With a base difference within the budget the result is always an
     arithmetic set-indexer. The only errors are the input checks of Graph
-    and ConstructionParams, and LabelOverflowError for a base difference
-    beyond the budget. The labels' ``first`` terms increase strictly in
+    and ConstructionParams, and LabelOverflowError, which only a base
+    difference beyond the budget can raise (a slightly larger one may still
+    construct). The labels' ``first`` terms increase strictly in
     breadth-first order, so sorting the vertices by them recovers it.
     """
     # breadth-first from the smallest vertex of each component

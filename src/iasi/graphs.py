@@ -168,9 +168,8 @@ class Graph(_Facts):
             raise GraphValidationError(violations)
         self.vertices = tuple(sorted(adjacency))
         self._adjacency = {v: tuple(sorted(adjacency[v])) for v in self.vertices}
-        self.edges = tuple(
-            sorted([(u, v) for u in self.vertices for v in self._adjacency[u] if u < v])
-        )
+        # sorted already: u runs over sorted vertices, v over u's sorted neighbours
+        self.edges = tuple([(u, v) for u in self.vertices for v in self._adjacency[u] if u < v])
         self._cache = {}
 
     def neighbors(self, v) -> tuple:

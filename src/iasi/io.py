@@ -38,7 +38,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import GraphValidationError, SchemaError
 from .graphs import Graph, LabeledGraph
-from .sets import APSet, IntegerSet, _elements
+from .sets import APSet, IntegerSet
 
 __all__ = [
     "load_document",
@@ -162,7 +162,7 @@ def _parse_labels(doc, graph: Graph) -> dict:
             raise SchemaError("label must be a list of integers", context=where) from exc
         except ValueError as exc:
             raise SchemaError("label elements must be non-negative", context=where) from exc
-        if list(_elements(label)) != arr:
+        if list(label) != arr:
             warnings.warn(
                 f"label array for {v!r} was not strictly ascending; normalized",
                 stacklevel=3,

@@ -50,9 +50,13 @@ class IntegerSet(tuple):
     A nonempty set whose elements form a progression is built as an
     ``APSet``, which holds only its progression's terms, never its elements;
     so an IntegerSet is always a set that is not a progression (or empty).
+    It answers an APSet's two facts: ``length``, its size, and
+    ``difference``, None, since it has no common difference.
     """
 
     __slots__ = ()
+    difference = None
+    length = property(tuple.__len__)
 
     def __new__(cls, elements=()):
         if isinstance(elements, (IntegerSet, APSet)):
@@ -202,11 +206,6 @@ def _unchecked(elements) -> IntegerSet:
         first, last = ordered[0], ordered[-1]
         return _ap(first, last - first or None, n, last)
     return tuple.__new__(IntegerSet)
-
-
-def _difference(label) -> int | None:
-    """A label's common difference: an APSet's (None for a singleton), else None."""
-    return label.difference if type(label) is APSet else None
 
 
 def _overflow(high_a: int, high_b: int) -> LabelOverflowError:

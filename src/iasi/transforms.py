@@ -91,7 +91,8 @@ def _transferred(lg: LabeledGraph, op: str, build, *args) -> LabeledGraph:
 
 def _contracted(graph: Graph, edge) -> tuple:
     u, v = edge = _require_edge(graph, edge)
-    merged = _fresh_name(f"({u}*{v})", set(graph.vertices) - {u, v})
+    # "(u*v)" is longer than u and v, so it never clashes with either
+    merged = _fresh_name(f"({u}*{v})", graph._adjacency)
     vertices = [x for x in graph.vertices if x not in (u, v)] + [merged]
     new_edges = set()
     for x, y in graph.edges:

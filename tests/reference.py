@@ -122,6 +122,32 @@ def corpus_style(seed, n):
     return LabeledGraph(graph, labels)
 
 
+_DIFFERENCES = (1, 2, 3, 4, 6, 8, 12)
+
+
+def random_arithmetic_iasi(rng):
+    """A random arithmetic IASI of the kind no construction makes, drawn from ``rng``.
+
+    A random connected graph on 2 to 6 vertices, each vertex a progression
+    of 3 to 5 terms with a difference from 1, 2, 3, 4, 6, 8 or 12, its first
+    term below one bound (30, 200 or 5,000) per labeling, so labels often
+    meet. Drawn again until the labels are distinct, the edge sums distinct
+    and every edge sum a progression, all judged on plain sorted lists.
+    """
+    while True:
+        n = rng.randint(2, 6)
+        names = [chr(ord("a") + j) for j in range(n)]
+        graph = random_connected_graph(rng, names, rng.randint(n - 1, n * (n - 1) // 2))
+        bound = rng.choice((30, 200, 5000))
+        labels = {}
+        for v in names:
+            first, d = rng.randrange(bound), rng.choice(_DIFFERENCES)
+            labels[v] = tuple(range(first, first + d * rng.randint(3, 5), d))
+        edge_labels = _edge_labels(labels, graph.edges)
+        if _first_collision(labels, edge_labels) is None and _arithmetic(labels, edge_labels):
+            return LabeledGraph(graph, labels)
+
+
 # ------------------------------------------------------------------ catalog
 #
 # The catalog's checks on one labeling, from the definitions: labels are

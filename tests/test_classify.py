@@ -13,6 +13,7 @@ from iasi import (
     ConstructionParams,
     DisconnectedGraphError,
     Graph,
+    IntegerSet,
     LabeledGraph,
     NotArithmeticError,
     check_gcd_invariant,
@@ -30,7 +31,6 @@ from iasi import (
     to_total_graph,
     verify_iasi,
 )
-from iasi.sets import _difference
 from reference import brute_sumset, is_progression
 
 
@@ -58,7 +58,8 @@ def test_verify_vertex_collision_witness():
     assert not report.is_iasi
     assert report.collision.kind == "vertex"
     assert {report.collision.first, report.collision.second} == {"u", "w"}
-    assert report.collision.label == (1, 2)
+    # the witness is the repeated label itself, a progression here
+    assert report.collision.label == IntegerSet({1, 2})
 
 
 def test_verify_edge_collision_witness():
@@ -350,8 +351,8 @@ def test_gcd_requires_deterministic_indices():
 
 def test_label_differences_frozen_example():
     lg = p2({0, 2, 4}, {1, 3, 5})
-    vertex_diffs = {v: _difference(s) for v, s in lg.vertex_labels.items()}
-    edge_diffs = {e: _difference(s) for e, s in lg.edge_labels.items()}
+    vertex_diffs = {v: s.difference for v, s in lg.vertex_labels.items()}
+    edge_diffs = {e: s.difference for e, s in lg.edge_labels.items()}
     assert vertex_diffs == {"u": 2, "v": 2}
     assert edge_diffs == {("u", "v"): 2}
     assert classify_module._non_progression_edges(lg) == []
@@ -359,8 +360,8 @@ def test_label_differences_frozen_example():
 
 def test_label_differences_sentinels():
     lg = p2({7}, {0, 1, 5})
-    vertex_diffs = {v: _difference(s) for v, s in lg.vertex_labels.items()}
-    edge_diffs = {e: _difference(s) for e, s in lg.edge_labels.items()}
+    vertex_diffs = {v: s.difference for v, s in lg.vertex_labels.items()}
+    edge_diffs = {e: s.difference for e, s in lg.edge_labels.items()}
     # singleton and non-progression both surface as None
     assert vertex_diffs == {"u": None, "v": None}
     # {7}+{0,1,5} = {7,8,12}: not a progression either

@@ -449,6 +449,18 @@ def test_one_rule_refuses_a_last_term_past_64_bits():
     assert _progression_labels(["a"], {"a": x // 2}, {"a": 3}, [15])["a"].last == U64_MAX
 
 
+def test_the_difference_budget_is_sufficient_not_tight():
+    # P3 at three terms: offsets 1, 2, 3 and spans 2d put every element below
+    # 7 * (4d + 1), so the budget is the largest d with 4d + 1 <= 2**64 // 7
+    budget = _difference_budget(3, 3)
+    assert budget == 658_812_288_346_769_700
+    path = path_graph(3)
+    for d in (budget, budget + 1, budget * 7 // 6):
+        construct_arbitrary(path, ConstructionParams(base_difference=d))
+    with pytest.raises(LabelOverflowError):
+        construct_arbitrary(path, ConstructionParams(base_difference=budget * 7 // 6 + 1))
+
+
 def test_complete_beyond_26_vertices():
     lg = construct_complete((1,) * 20 + (3,) * 20, sizes=3)
     assert len(lg.graph.vertices) == 40

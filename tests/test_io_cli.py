@@ -235,9 +235,11 @@ def test_unsorted_labels_normalize_with_warning(tmp_path):
             "labels": {"a": [2, 0, 1, 1], "b": [5, 6]},
         },
     )
-    with pytest.warns(UserWarning, match="'a'"):
+    with pytest.warns(UserWarning, match="'a'") as warned:
         lg = load_document(path)
     assert tuple(lg.vertex_labels["a"]) == (0, 1, 2)
+    # the warning points at the line that called load_document
+    assert [w.filename for w in warned] == [__file__]
 
 
 def test_label_elements_checked_once_per_load(tmp_path, monkeypatch):

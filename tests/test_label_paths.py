@@ -23,16 +23,20 @@ from iasi import (
     APSet,
     Collision,
     ConstructionParams,
+    EdgeClassification,
     Graph,
     IntegerSet,
+    LabelCollisionError,
     LabeledGraph,
     LabelOverflowError,
     U64_MAX,
     check_gcd_invariant,
     check_multiplier_condition,
     classify_arithmetic,
+    classify_edges,
     construct_arbitrary,
     path_graph,
+    subdivide,
     sumset,
     verify_iasi,
 )
@@ -161,6 +165,55 @@ def test_long_labels_cost_their_terms_not_their_elements(policy, n):
     assert peak <= 2_000_000
 
 
+_HUGE = 10**18
+
+
+def _witness(call, *args):
+    """The collision ``call(*args)`` reports or raises, as its kind, its pair
+    and its label's type and terms. Any other exception fails here by its
+    type alone: a failure that printed a 10^18-term label would list every
+    element (an APSet's repr is its elements')."""
+    try:
+        result = call(*args)
+    except LabelCollisionError as exc:
+        collision = exc.witness
+    except Exception as exc:
+        raise AssertionError(f"{call.__name__} raised {type(exc).__name__}") from None
+    else:
+        collision = result.collision
+    label = collision.label
+    terms = type(label).__name__, label.first, label.difference, label.length
+    return collision.kind, collision.first, collision.second, terms
+
+
+def test_a_repeated_huge_progression_is_its_own_witness():
+    # the witness is the repeated label, never a copy of its 10^18 elements
+    small, huge, wider = APSet(0, 1, 3), APSet(0, 1, _HUGE), APSet(0, 1, _HUGE + 2)
+    tracemalloc.start()
+    try:
+        repeated = LabeledGraph(path_graph(3), {"a": huge, "b": small, "c": huge})
+        verified = _witness(verify_iasi, repeated)
+        # subdividing a-b puts a's and b's sum, c's label, on a new point
+        lg = LabeledGraph(path_graph(3), {"a": small, "b": huge, "c": wider})
+        subdivided = _witness(subdivide, lg, ("a", "b"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verified == ("vertex", "a", "c", ("APSet", 0, 1, _HUGE))
+    assert subdivided == ("vertex", "(a~b)", "c", ("APSet", 0, 1, _HUGE + 2))
+    assert peak <= 100_000
+
+
+def test_a_label_of_2_64_terms_is_classified_by_its_terms():
+    # len() cannot answer past 2**63 - 1; the length slot can
+    lg = LabeledGraph(path_graph(2), {"a": APSet(0, 1, 2**64), "b": {0}})
+    assert classify_edges(lg) == {("a", "b"): EdgeClassification(True, True, 2**64)}
+    report = classify_arithmetic(lg)
+    assert (report.is_iasi, report.uniform_k, report.vertex_uniform_l) == (True, 2**64, None)
+    assert report.sub_minimal_vertices == ("b",) and not report.vertex_arithmetic
+    assert report.edge_arithmetic
+
+
 # ------------------------------------------------ sumset at the 64-bit boundary
 
 _HALF = 2**63  # (_HALF - 1) + _HALF == U64_MAX
@@ -221,14 +274,17 @@ _MIXED = st.one_of(
 
 
 def reference_collision(graph, raw):
-    """The first repeat in canonical order: all vertex labels, then all edge labels."""
+    """The first repeat in canonical order: all vertex labels, then all edge labels.
+
+    The witness is the repeated label, which a progression reads as an APSet.
+    """
     vertex = [(v, sorted(raw[v])) for v in graph.vertices]
     edge = [((u, v), brute_sumset(raw[u], raw[v])) for u, v in graph.edges]
     for kind, named in (("vertex", vertex), ("edge", edge)):
         for j, (name, label) in enumerate(named):
             for earlier, other in named[:j]:
                 if other == label:
-                    return Collision(kind, earlier, name, tuple(label))
+                    return Collision(kind, earlier, name, IntegerSet(label))
     return None
 
 

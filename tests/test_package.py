@@ -85,6 +85,7 @@ def test_only_the_reference_module_defines_brute_force_references():
         "brute_sumset",
         "corpus_style",
         "is_progression",
+        "random_arithmetic_iasi",
         "random_connected_graph",
         "reference_catalog",
         "reference_checks",

@@ -396,6 +396,17 @@ def test_empty_set_is_not_a_progression():
     assert type(IntegerSet()) is IntegerSet
 
 
+@given(st.one_of(small_sets, progression_sets, st.just(set())))
+def test_every_label_answers_its_difference_and_length(s):
+    # both label types: the size, and the common difference of a progression
+    # of two or more elements; None for a singleton or any other set
+    label = IntegerSet(s)
+    plain = sorted(s)
+    gap = plain[1] - plain[0] if len(plain) > 1 and is_progression(plain) else None
+    assert label.length == len(label) == len(plain)
+    assert label.difference == gap
+
+
 # --------------------------------------------- predicted_edge_cardinality
 
 

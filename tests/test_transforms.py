@@ -261,6 +261,15 @@ def test_new_point_names_avoid_existing_vertices(policy):
         assert out.vertex_labels[existing] == lg.vertex_labels[existing]
 
 
+def test_a_new_point_takes_apostrophes_until_its_name_is_free():
+    # "(a,b)" and "(a,b)'" are both vertices, so the point of edge a-b is "(a,b)''"
+    graph = Graph(["a", "b", "(a,b)", "(a,b)'"], [("a", "b"), ("a", "(a,b)"), ("b", "(a,b)'")])
+    lg = uniform(graph)
+    out = to_total_graph(lg)
+    assert out.vertex_labels["(a,b)''"] == lg.edge_labels[("a", "b")]
+    assert out.graph.neighbors("(a,b)''") == ("((a,b)',b)", "((a,b),a)", "a", "b")
+
+
 # ------------------------------------------------- preservation, uniform case
 
 
